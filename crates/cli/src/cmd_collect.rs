@@ -45,7 +45,7 @@ use ldp_obs::MetricsRegistry;
 use ldp_primitives::codec;
 use ldp_runtime::ShardedAggregator;
 use loloha::LolohaParams;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufRead;
 use std::path::Path;
 
@@ -203,17 +203,18 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
         }
     }
 
-    // Group by round, preserving round order.
+    // Group by round, preserving round order; `seen` holds every
+    // (round, user) pair so far, so duplicates cost O(log n) each.
     let mut rounds: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
+    let mut seen: BTreeSet<(u64, u64)> = BTreeSet::new();
     for r in &records {
-        let entries = rounds.entry(r.round).or_default();
-        if entries.iter().any(|&(u, _)| u == r.user) {
+        if !seen.insert((r.round, r.user)) {
             return Err(CliError::new(format!(
                 "user {} reported twice in round {}",
                 r.user, r.round
             )));
         }
-        entries.push((r.user, r.value));
+        rounds.entry(r.round).or_default().push((r.user, r.value));
     }
 
     // Dense user index: every distinct user id, in ascending order, gets a

@@ -107,6 +107,9 @@ pub struct ClientPool {
     /// checkpoint layer ([`crate::ClientStore::save_pool`]) uses it to
     /// rewrite only the segments that actually changed.
     dirty: Vec<bool>,
+    /// Number of `true` flags in `dirty`, kept in step with every flag
+    /// change so no report pays an O(n) recount.
+    dirty_count: usize,
     obs: PoolObs,
 }
 
@@ -151,15 +154,28 @@ impl ClientPool {
             seed,
             users,
             dirty,
+            dirty_count: n,
             obs,
         })
     }
 
-    /// The number of users whose state or RNG position changed since the
-    /// last [`Self::mark_clean`], pushed to the `ldp.client.pool.dirty_users`
-    /// gauge after every mutation.
-    fn dirty_count(&self) -> u64 {
-        self.dirty.iter().filter(|&&d| d).count() as u64
+    /// Flags user `u` dirty, counting a clean → dirty transition.
+    fn mark_dirty(&mut self, u: usize) {
+        if !std::mem::replace(&mut self.dirty[u], true) {
+            self.dirty_count += 1;
+        }
+    }
+
+    /// Flags every user dirty (a full round touches them all).
+    fn mark_all_dirty(&mut self) {
+        self.dirty.fill(true);
+        self.dirty_count = self.dirty.len();
+        self.publish_dirty();
+    }
+
+    /// Pushes the dirty count to the `ldp.client.pool.dirty_users` gauge.
+    fn publish_dirty(&self) {
+        self.obs.dirty_users.set(self.dirty_count as u64);
     }
 
     /// Number of users in the pool.
@@ -197,9 +213,9 @@ impl ClientPool {
         let _timed = Span::enter(&self.obs.sanitize_ns);
         let slot = &mut self.users[user];
         slot.state.report_into(value, &mut slot.rng, buf);
-        self.dirty[user] = true;
+        self.mark_dirty(user);
         self.obs.reports.inc();
-        self.obs.dirty_users.set(self.dirty_count());
+        self.publish_dirty();
     }
 
     /// Sanitizes a full round — `values[u]` is user `u`'s value — across
@@ -233,7 +249,7 @@ impl ClientPool {
     ) -> Result<(), IngestError> {
         assert_eq!(values.len(), self.users.len(), "one value per user");
         let _timed = Span::enter(&self.obs.sanitize_ns);
-        self.dirty.iter_mut().for_each(|d| *d = true);
+        self.mark_all_dirty();
         let chunk_len = chunk_len(self.users.len(), workers);
         let results: Vec<Result<(), IngestError>> = std::thread::scope(|s| {
             let mut joins = Vec::new();
@@ -257,7 +273,6 @@ impl ClientPool {
                 .collect()
         });
         self.obs.reports.inc_by(values.len() as u64);
-        self.obs.dirty_users.set(self.dirty_count());
         results.into_iter().collect()
     }
 
@@ -272,7 +287,7 @@ impl ClientPool {
     ) -> Result<(), IngestError> {
         assert_eq!(values.len(), self.users.len(), "one value per user");
         let _timed = Span::enter(&self.obs.sanitize_ns);
-        self.dirty.iter_mut().for_each(|d| *d = true);
+        self.mark_all_dirty();
         let chunk_len = chunk_len(self.users.len(), workers);
         let results: Vec<Result<(), IngestError>> = std::thread::scope(|s| {
             let mut joins = Vec::new();
@@ -295,7 +310,6 @@ impl ClientPool {
                 .collect()
         });
         self.obs.reports.inc_by(values.len() as u64);
-        self.obs.dirty_users.set(self.dirty_count());
         results.into_iter().collect()
     }
 
@@ -326,7 +340,7 @@ impl ClientPool {
         assert_eq!(values.len(), self.users.len(), "one value per user");
         assert!(!sinks.is_empty(), "at least one sink");
         let _timed = Span::enter(&self.obs.sanitize_ns);
-        self.dirty.iter_mut().for_each(|d| *d = true);
+        self.mark_all_dirty();
         let chunk_len = chunk_len(self.users.len(), sinks.len());
         let results: Vec<Result<(), S::Error>> = std::thread::scope(|s| {
             let mut joins = Vec::new();
@@ -353,7 +367,6 @@ impl ClientPool {
                 .collect()
         });
         self.obs.reports.inc_by(values.len() as u64);
-        self.obs.dirty_users.set(self.dirty_count());
         results.into_iter().collect()
     }
 
@@ -371,8 +384,7 @@ impl ClientPool {
         assert!(!shards.is_empty(), "at least one shard");
         let _timed = Span::enter(&self.obs.sanitize_ns);
         self.obs.reports.inc_by(values.len() as u64);
-        self.dirty.iter_mut().for_each(|d| *d = true);
-        self.obs.dirty_users.set(self.users.len() as u64);
+        self.mark_all_dirty();
         let chunk_len = chunk_len(self.users.len(), shards.len());
         std::thread::scope(|s| {
             let mut offset = 0usize;
@@ -431,10 +443,10 @@ impl ClientPool {
         let mut buckets: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n_buckets];
         for &(u, value) in assignments {
             assert!(u < self.users.len(), "assignment names user {u}");
-            self.dirty[u] = true;
+            self.mark_dirty(u);
             buckets[u / chunk_len].push((u, value));
         }
-        self.obs.dirty_users.set(self.dirty_count());
+        self.publish_dirty();
         let results: Vec<Result<(), IngestError>> = std::thread::scope(|s| {
             let mut joins = Vec::new();
             for ((ci, chunk), bucket) in self.users.chunks_mut(chunk_len).enumerate().zip(buckets) {
@@ -486,8 +498,9 @@ impl ClientPool {
     /// known to match the checkpoint on disk (e.g. right after restoring
     /// from that same store).
     pub fn mark_clean(&mut self) {
-        self.dirty.iter_mut().for_each(|d| *d = false);
-        self.obs.dirty_users.set(0);
+        self.dirty.fill(false);
+        self.dirty_count = 0;
+        self.publish_dirty();
     }
 
     /// Captures every user's memoized state and RNG position for durable
@@ -525,8 +538,7 @@ impl ClientPool {
         // Conservative: the pool cannot know whether `cp` came from the
         // store the next incremental save will target, so everything is
         // dirty until the caller says otherwise (see `mark_clean`).
-        self.dirty.iter_mut().for_each(|d| *d = true);
-        self.obs.dirty_users.set(self.users.len() as u64);
+        self.mark_all_dirty();
         Ok(())
     }
 }
@@ -695,6 +707,48 @@ mod tests {
         ));
         // The original still accepts its own checkpoint.
         p.restore(&cp).unwrap();
+    }
+
+    #[test]
+    fn dirty_users_gauge_tracks_the_flags() {
+        let reg = MetricsRegistry::new();
+        let cfg = ClientConfig::for_method(Method::LOsue, 16, 2.0, 1.0).unwrap();
+        let mut p = ClientPool::with_obs(cfg, 5, 12, &reg).unwrap();
+        let cp = p.checkpoint();
+        let mut pipe = IngestPipeline::for_method(Method::LOsue, 16, 2.0, 1.0, 2).unwrap();
+        let handle = pipe.handle();
+        let mut buf = ReportBuf::new();
+        let check = |p: &ClientPool, want: usize| {
+            let flags = p.dirty().iter().filter(|d| **d).count();
+            assert_eq!(flags, want);
+            let gauge = reg.snapshot().gauge("ldp.client.pool.dirty_users");
+            assert_eq!(gauge, Some(want as u64));
+        };
+        p.mark_clean();
+        check(&p, 0);
+        p.sanitize_one(3, 1, &mut buf);
+        p.sanitize_one(3, 2, &mut buf); // already dirty: no double count
+        p.sanitize_one(7, 2, &mut buf);
+        check(&p, 2);
+        p.sanitize_assignments(&[(1, 4), (7, 5), (9, 6)], 2, &handle)
+            .unwrap();
+        check(&p, 4);
+        p.mark_clean();
+        p.sanitize_one(0, 0, &mut buf);
+        check(&p, 1);
+        p.sanitize_round(&values(12), 2, &handle).unwrap();
+        check(&p, 12);
+        p.mark_clean();
+        p.sanitize_assignments(&[(11, 1)], 3, &handle).unwrap();
+        check(&p, 1);
+        p.restore(&cp).unwrap();
+        check(&p, 12);
+        p.mark_clean();
+        let mut agg = ShardedAggregator::for_method(Method::LOsue, 16, 2.0, 1.0, 2).unwrap();
+        p.sanitize_round_into_shards(&values(12), agg.shards_mut());
+        check(&p, 12);
+        drop(handle);
+        pipe.finish_round().unwrap();
     }
 
     #[test]

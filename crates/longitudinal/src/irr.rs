@@ -7,14 +7,24 @@
 //!
 //! The implementation mirrors `UeClient`: for sparse `q2` the rising zeros
 //! are enumerated by geometric skipping and the (few) ones re-drawn
-//! individually; for dense `q2` a straight per-bit loop is used.
+//! individually; for dense `q2` each output block is built as one 64-bit
+//! word and stored once.
+//!
+//! **RNG consumption is part of the determinism contract.** The dense path
+//! draws exactly one `next_u64` per bit, in ascending bit order, and none
+//! for a bit whose sampler has p = 1 — exactly what [`Bernoulli::sample`]
+//! consumes. Every golden fixture and client checkpoint depends on this, as
+//! it does on `SPARSE_Q_THRESHOLD` (shared with `ldp_primitives::ue`):
+//! moving the threshold or changing the draw order changes reports, so it
+//! needs new versioned fixtures, never a silent edit.
 
 use ldp_primitives::params::PerturbParams;
 use ldp_primitives::BitVec;
 use ldp_rand::{Bernoulli, SparseHits};
 use rand::RngCore;
 
-/// Below this `q2` the sparse path is used.
+/// Below this `q2` the sparse path is used. Part of the determinism
+/// contract (see the module docs).
 const SPARSE_Q_THRESHOLD: f64 = 0.12;
 
 /// A reusable IRR perturbation kernel for `bits`-bit vectors.
@@ -54,9 +64,9 @@ impl IrrKernel {
     ) {
         assert_eq!(out.len(), self.bits, "output length mismatch");
         assert_eq!(input.len(), self.bits.div_ceil(64), "input block mismatch");
-        out.clear();
         let q = self.params.q;
         if q > 0.0 && q < SPARSE_Q_THRESHOLD {
+            out.clear();
             // Rising zeros via skipping (hits on one-positions are
             // overwritten below, which preserves independence).
             for i in SparseHits::new(q, self.bits as u64, rng).expect("q in (0,1)") {
@@ -66,12 +76,17 @@ impl IrrKernel {
                 out.set(i, self.keep.sample(rng));
             }
         } else {
-            for i in 0..self.bits {
-                let is_one = (input[i / 64] >> (i % 64)) & 1 == 1;
-                let bern = if is_one { &self.keep } else { &self.noise };
-                if bern.sample(rng) {
-                    out.set(i, true);
-                }
+            // Word at a time; every block is overwritten, so no clear is
+            // needed. The thresholds are compared in registers, but a
+            // p = 1 sampler must make no draw (module docs), so then the
+            // loop goes through `Bernoulli::sample`, which skips it.
+            match (self.keep.threshold(), self.noise.threshold()) {
+                (Some(keep), Some(noise)) => fill_words(input, self.bits, out, |one| {
+                    rng.next_u64() < if one { keep } else { noise }
+                }),
+                _ => fill_words(input, self.bits, out, |one| {
+                    if one { &self.keep } else { &self.noise }.sample(rng)
+                }),
             }
         }
     }
@@ -82,6 +97,20 @@ impl IrrKernel {
         let mut out = BitVec::zeros(self.bits);
         self.perturb_blocks_into(input, rng, &mut out);
         out
+    }
+}
+
+/// Writes each block of `out` as one word: bit `b` of block `bi` is
+/// `draw(input bit)`, called once per bit below `bits`, in ascending order.
+#[inline(always)]
+fn fill_words(input: &[u64], bits: usize, out: &mut BitVec, mut draw: impl FnMut(bool) -> bool) {
+    for (bi, &word) in input.iter().enumerate() {
+        let width = (bits - 64 * bi).min(64);
+        let mut acc = 0u64;
+        for b in 0..width {
+            acc |= u64::from(draw((word >> b) & 1 == 1)) << b;
+        }
+        out.set_block(bi, acc);
     }
 }
 
@@ -184,6 +213,58 @@ mod tests {
         for _ in 0..50 {
             let out = kernel.perturb_blocks(&input, &mut rng);
             assert!(out.get(67));
+        }
+    }
+
+    /// The dense IRR as a plain per-bit loop: the reference the word-at-a-
+    /// time kernel must match block for block and draw for draw.
+    fn dense_oracle<R: RngCore + ?Sized>(kernel: &IrrKernel, input: &[u64], rng: &mut R) -> BitVec {
+        let mut out = BitVec::zeros(kernel.bits);
+        for i in 0..kernel.bits {
+            let is_one = (input[i / 64] >> (i % 64)) & 1 == 1;
+            let bern = if is_one { &kernel.keep } else { &kernel.noise };
+            if bern.sample(rng) {
+                out.set(i, true);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn dense_kernel_matches_per_bit_oracle() {
+        use crate::chain::{ue_chain_params, UeChain};
+        let mut pairs = vec![params(1.0, 0.3)]; // `always` keep: no draw on ones
+        for chain in [UeChain::OueSue, UeChain::SueSue] {
+            pairs.push(ue_chain_params(chain, 2.0, 1.0).unwrap().irr);
+        }
+        for (pi, &pair) in pairs.iter().enumerate() {
+            assert!(
+                pair.q >= SPARSE_Q_THRESHOLD,
+                "{pair:?} takes the sparse path"
+            );
+            for bits in [1usize, 10, 63, 64, 65, 128, 1412] {
+                let kernel = IrrKernel::new(bits, pair);
+                let mut fast = derive_rng(404, (pi * 10_000 + bits) as u64);
+                let mut slow = fast.clone();
+                let mut input_rng = derive_rng(405, bits as u64);
+                let mut out = BitVec::zeros(bits);
+                out.set_block(0, u64::MAX); // stale bits must not survive
+                for round in 0..20 {
+                    // Random inputs with stray bits beyond `bits`: the
+                    // kernel must never carry them into the output.
+                    let input: Vec<u64> = (0..bits.div_ceil(64))
+                        .map(|_| input_rng.next_u64())
+                        .collect();
+                    kernel.perturb_blocks_into(&input, &mut fast, &mut out);
+                    let want = dense_oracle(&kernel, &input, &mut slow);
+                    assert_eq!(out, want, "{pair:?} bits {bits} round {round}");
+                    assert_eq!(fast.state(), slow.state(), "{pair:?} bits {bits}");
+                    let tail = bits % 64;
+                    if tail != 0 {
+                        assert_eq!(out.blocks().last().unwrap() >> tail, 0, "bit >= {bits} set");
+                    }
+                }
+            }
         }
     }
 

@@ -133,6 +133,22 @@ impl BitVec {
         }
     }
 
+    /// Overwrites block `bi` (bits `64·bi ..`) with `word`. Bits of the
+    /// last block at or beyond `len` are masked off, keeping the same
+    /// tail invariant as [`BitVec::copy_from_blocks`].
+    ///
+    /// # Panics
+    /// Panics if `bi >= ceil(len/64)`.
+    #[inline]
+    pub fn set_block(&mut self, bi: usize, word: u64) {
+        let tail = self.len % 64;
+        self.blocks[bi] = if tail != 0 && bi + 1 == self.blocks.len() {
+            word & ((1u64 << tail) - 1)
+        } else {
+            word
+        };
+    }
+
     /// The underlying blocks (low bit of block 0 is bit 0).
     pub fn blocks(&self) -> &[u64] {
         &self.blocks
@@ -241,6 +257,19 @@ mod tests {
         bv.copy_from_blocks(&[0, u64::MAX]);
         let ones: Vec<usize> = bv.iter_ones().collect();
         assert_eq!(ones, vec![64, 65, 66, 67, 68, 69]);
+    }
+
+    #[test]
+    fn set_block_overwrites_and_masks_the_tail() {
+        let mut bv = BitVec::zeros(70);
+        bv.set(3, true);
+        bv.set_block(0, 1 << 5);
+        bv.set_block(1, u64::MAX);
+        let ones: Vec<usize> = bv.iter_ones().collect();
+        assert_eq!(ones, vec![5, 64, 65, 66, 67, 68, 69]);
+        let mut full = BitVec::zeros(128);
+        full.set_block(1, u64::MAX);
+        assert_eq!(full.count_ones(), 64);
     }
 
     #[test]

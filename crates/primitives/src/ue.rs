@@ -17,7 +17,8 @@ use ldp_rand::{Bernoulli, SparseHits};
 use rand::RngCore;
 
 /// Below this noise probability the zero bits are enumerated by geometric
-/// skipping; above it a dense per-bit loop is cheaper.
+/// skipping; above it a dense per-bit loop is cheaper. Part of the
+/// determinism contract (docs/ARCHITECTURE.md): moving it changes reports.
 const SPARSE_Q_THRESHOLD: f64 = 0.12;
 
 /// A one-shot UE client.

@@ -49,6 +49,13 @@ impl Bernoulli {
         }
     }
 
+    /// The 64-bit fixed-point threshold: a draw `x` succeeds iff
+    /// `x < threshold`. `None` when p = 1, which succeeds without a draw.
+    #[inline]
+    pub fn threshold(&self) -> Option<u64> {
+        (!self.always).then_some(self.threshold)
+    }
+
     /// Draws one sample.
     #[inline]
     pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> bool {
@@ -73,6 +80,9 @@ mod tests {
         let mut rng = derive_rng(1, 1);
         let zero = Bernoulli::new(0.0).unwrap();
         let one = Bernoulli::new(1.0).unwrap();
+        assert_eq!(zero.threshold(), Some(0));
+        assert_eq!(one.threshold(), None);
+        assert_eq!(Bernoulli::new(0.5).unwrap().threshold(), Some(1 << 63));
         for _ in 0..1000 {
             assert!(!zero.sample(&mut rng));
             assert!(one.sample(&mut rng));
