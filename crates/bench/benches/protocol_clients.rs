@@ -1,12 +1,16 @@
 //! Criterion micro-benchmarks: per-report client latency of every
 //! longitudinal protocol at the Syn dataset's scale (k = 360, ε∞ = 1,
 //! ε1 = 0.5). This is the hot path of any real deployment — one call per
-//! user per collection round.
+//! user per collection round. A second group times L-OSUE's two UE
+//! kernels alone at DB_MT's scale (k = 1412, ε∞ = 2, ε1 = 1): the PRR a
+//! memo miss pays and the IRR every report pays.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ldp_hash::CarterWegman;
+use ldp_longitudinal::chain::ue_chain_params;
+use ldp_longitudinal::irr::IrrKernel;
 use ldp_longitudinal::{DBitFlipClient, LgrrClient, LongitudinalUeClient, UeChain};
-use ldp_primitives::BitVec;
+use ldp_primitives::{BitVec, UeClient};
 use ldp_rand::derive_rng;
 use loloha::{LolohaClient, LolohaParams};
 use std::hint::black_box;
@@ -100,5 +104,39 @@ fn bench_clients(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_clients);
+fn bench_losue_kernels(c: &mut Criterion) {
+    const K_DBMT: u64 = 1412;
+    let chain = ue_chain_params(UeChain::OueSue, 2.0, 1.0).unwrap();
+    let mut group = c.benchmark_group("l_osue_kernels_k1412");
+    group.sample_size(20);
+
+    group.bench_function("PRR", |b| {
+        let prr = UeClient::with_params(K_DBMT, chain.prr.p, chain.prr.q).unwrap();
+        let mut rng = derive_rng(8, 0);
+        let mut out = BitVec::zeros(K_DBMT as usize);
+        let mut v = 0u64;
+        b.iter(|| {
+            v = (v + 7) % K_DBMT;
+            prr.perturb_into(black_box(v), &mut rng, &mut out);
+            black_box(out.count_ones())
+        });
+    });
+
+    group.bench_function("IRR", |b| {
+        let irr = IrrKernel::new(K_DBMT as usize, chain.irr);
+        let mut rng = derive_rng(9, 0);
+        let memo = UeClient::with_params(K_DBMT, chain.prr.p, chain.prr.q)
+            .unwrap()
+            .perturb(3, &mut rng);
+        let mut out = BitVec::zeros(K_DBMT as usize);
+        b.iter(|| {
+            irr.perturb_blocks_into(black_box(memo.blocks()), &mut rng, &mut out);
+            black_box(out.count_ones())
+        });
+    });
+
+    group.finish();
+}
+
+criterion_group!(benches, bench_clients, bench_losue_kernels);
 criterion_main!(benches);

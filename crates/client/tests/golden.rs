@@ -5,6 +5,9 @@
 //! unified container. The v1 file must keep loading through the
 //! migration shim, fold back into a live pool, and agree with the v2
 //! decode; the v2 file must re-encode byte-for-byte.
+//! `clients_v2_draws2.ckpt` is the same capture recipe replayed under
+//! the second RNG draw contract (bit-sliced `bernoulli_block` UE
+//! blocks): same format, different memoized bits and RNG states.
 
 use ldp_client::{decode_client_checkpoint, encode_client_checkpoint, ClientConfig, ClientPool};
 use ldp_runtime::Method;
@@ -57,6 +60,10 @@ fn v1_and_v2_fixtures_decode_identically() {
     assert_eq!(encode_client_checkpoint(&old), fixture("clients_v2.ckpt"));
 }
 
+/// Pins the draw contract's second revision: UE blocks drawn by
+/// `ldp_rand::bernoulli_block` (bit-sliced, most significant bit first)
+/// with `SPARSE_Q_THRESHOLD` = 0.035. `clients_v2.ckpt` was captured
+/// under the first (one `next_u64` per bit) and still pins the codec.
 #[test]
 fn checkpointing_the_fixture_pool_reproduces_the_fixture_bytes() {
     // The fixture is not an opaque blob: replaying the capture recipe
@@ -70,6 +77,6 @@ fn checkpointing_the_fixture_pool_reproduces_the_fixture_bytes() {
     }
     assert_eq!(
         encode_client_checkpoint(&pool.checkpoint()),
-        fixture("clients_v2.ckpt")
+        fixture("clients_v2_draws2.ckpt")
     );
 }

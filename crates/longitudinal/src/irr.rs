@@ -5,53 +5,43 @@
 //! probability `q2`. This is the step that makes consecutive reports of the
 //! same memoized state differ, hiding *when* the underlying value changed.
 //!
-//! The implementation mirrors `UeClient`: for sparse `q2` the rising zeros
-//! are enumerated by geometric skipping and the (few) ones re-drawn
-//! individually; for dense `q2` each output block is built as one 64-bit
-//! word and stored once.
-//!
-//! **RNG consumption is part of the determinism contract.** The dense path
-//! draws exactly one `next_u64` per bit, in ascending bit order, and none
-//! for a bit whose sampler has p = 1 — exactly what [`Bernoulli::sample`]
-//! consumes. Every golden fixture and client checkpoint depends on this, as
-//! it does on `SPARSE_Q_THRESHOLD` (shared with `ldp_primitives::ue`):
-//! moving the threshold or changing the draw order changes reports, so it
-//! needs new versioned fixtures, never a silent edit.
+//! The kernel is the same [`UeChannel`] that `UeClient` perturbs its
+//! one-hot vectors with, so both follow one RNG-consumption rule, which is
+//! part of the determinism contract (docs/ARCHITECTURE.md). For
+//! `q2 < SPARSE_Q_THRESHOLD` (0.035, in `ldp_primitives::ue`) the rising
+//! zeros are enumerated by geometric skipping and then every memoized 1 is
+//! re-drawn with `Bernoulli::sample`, in ascending order. Otherwise the
+//! blocks are drawn in ascending order, one `ldp_rand::bernoulli_block`
+//! each: most significant bit first, bit-sliced words until every lane
+//! below `bits` is decided (≈7.3 words per full block instead of 64), and
+//! no draw for a lane whose sampler has p = 1. Every golden fixture and
+//! client checkpoint replay depends on this rule: changing it needs new
+//! versioned fixtures, never a silent edit.
 
 use ldp_primitives::params::PerturbParams;
+use ldp_primitives::ue::UeChannel;
 use ldp_primitives::BitVec;
-use ldp_rand::{Bernoulli, SparseHits};
 use rand::RngCore;
-
-/// Below this `q2` the sparse path is used. Part of the determinism
-/// contract (see the module docs).
-const SPARSE_Q_THRESHOLD: f64 = 0.12;
 
 /// A reusable IRR perturbation kernel for `bits`-bit vectors.
 #[derive(Debug, Clone)]
 pub struct IrrKernel {
     bits: usize,
-    params: PerturbParams,
-    keep: Bernoulli,
-    noise: Bernoulli,
+    channel: UeChannel,
 }
 
 impl IrrKernel {
     /// Creates a kernel applying `(p2, q2)` to `bits`-bit vectors.
     pub fn new(bits: usize, params: PerturbParams) -> Self {
-        let keep = Bernoulli::new(params.p).expect("validated p");
-        let noise = Bernoulli::new(params.q).expect("validated q");
         Self {
             bits,
-            params,
-            keep,
-            noise,
+            channel: UeChannel::new(params),
         }
     }
 
     /// The `(p2, q2)` pair.
     pub fn params(&self) -> PerturbParams {
-        self.params
+        self.channel.params()
     }
 
     /// Applies the IRR to the memoized blocks `input` (little-endian bit
@@ -64,31 +54,7 @@ impl IrrKernel {
     ) {
         assert_eq!(out.len(), self.bits, "output length mismatch");
         assert_eq!(input.len(), self.bits.div_ceil(64), "input block mismatch");
-        let q = self.params.q;
-        if q > 0.0 && q < SPARSE_Q_THRESHOLD {
-            out.clear();
-            // Rising zeros via skipping (hits on one-positions are
-            // overwritten below, which preserves independence).
-            for i in SparseHits::new(q, self.bits as u64, rng).expect("q in (0,1)") {
-                out.set(i as usize, true);
-            }
-            for i in iter_ones(input, self.bits) {
-                out.set(i, self.keep.sample(rng));
-            }
-        } else {
-            // Word at a time; every block is overwritten, so no clear is
-            // needed. The thresholds are compared in registers, but a
-            // p = 1 sampler must make no draw (module docs), so then the
-            // loop goes through `Bernoulli::sample`, which skips it.
-            match (self.keep.threshold(), self.noise.threshold()) {
-                (Some(keep), Some(noise)) => fill_words(input, self.bits, out, |one| {
-                    rng.next_u64() < if one { keep } else { noise }
-                }),
-                _ => fill_words(input, self.bits, out, |one| {
-                    if one { &self.keep } else { &self.noise }.sample(rng)
-                }),
-            }
-        }
+        self.channel.perturb_into(|bi| input[bi], rng, out);
     }
 
     /// Allocating convenience wrapper around
@@ -100,40 +66,12 @@ impl IrrKernel {
     }
 }
 
-/// Writes each block of `out` as one word: bit `b` of block `bi` is
-/// `draw(input bit)`, called once per bit below `bits`, in ascending order.
-#[inline(always)]
-fn fill_words(input: &[u64], bits: usize, out: &mut BitVec, mut draw: impl FnMut(bool) -> bool) {
-    for (bi, &word) in input.iter().enumerate() {
-        let width = (bits - 64 * bi).min(64);
-        let mut acc = 0u64;
-        for b in 0..width {
-            acc |= u64::from(draw((word >> b) & 1 == 1)) << b;
-        }
-        out.set_block(bi, acc);
-    }
-}
-
-/// Iterates set-bit indices of raw blocks limited to `bits`.
-fn iter_ones(blocks: &[u64], bits: usize) -> impl Iterator<Item = usize> + '_ {
-    blocks.iter().enumerate().flat_map(move |(bi, &word)| {
-        let mut w = word;
-        std::iter::from_fn(move || {
-            if w == 0 {
-                return None;
-            }
-            let tz = w.trailing_zeros() as usize;
-            w &= w - 1;
-            Some(bi * 64 + tz)
-        })
-        .take_while(move |&i| i < bits)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_rand::derive_rng;
+    use ldp_primitives::ue::SPARSE_Q_THRESHOLD;
+    use ldp_primitives::UeClient;
+    use ldp_rand::{bernoulli_block, derive_rng, Bernoulli};
 
     fn params(p: f64, q: f64) -> PerturbParams {
         PerturbParams::new(p, q).unwrap()
@@ -167,7 +105,7 @@ mod tests {
 
     #[test]
     fn preserves_rates_sparse_path() {
-        let kernel = IrrKernel::new(200, params(0.9, 0.05));
+        let kernel = IrrKernel::new(200, params(0.9, 0.02));
         let mut rng = derive_rng(401, 0);
         let mut input = vec![0u64; 4];
         input[0] |= 1; // only bit 0 set
@@ -186,7 +124,7 @@ mod tests {
         let p_hat = kept as f64 / n as f64;
         let q_hat = risen as f64 / n as f64;
         assert!((p_hat - 0.9).abs() < 0.01, "p {p_hat}");
-        assert!((q_hat - 0.05).abs() < 0.01, "q {q_hat}");
+        assert!((q_hat - 0.02).abs() < 0.01, "q {q_hat}");
     }
 
     #[test]
@@ -216,26 +154,36 @@ mod tests {
         }
     }
 
-    /// The dense IRR as a plain per-bit loop: the reference the word-at-a-
-    /// time kernel must match block for block and draw for draw.
-    fn dense_oracle<R: RngCore + ?Sized>(kernel: &IrrKernel, input: &[u64], rng: &mut R) -> BitVec {
-        let mut out = BitVec::zeros(kernel.bits);
-        for i in 0..kernel.bits {
-            let is_one = (input[i / 64] >> (i % 64)) & 1 == 1;
-            let bern = if is_one { &kernel.keep } else { &kernel.noise };
-            if bern.sample(rng) {
-                out.set(i, true);
-            }
+    /// The block path's contract: `bernoulli_block` over each block in
+    /// ascending order, lanes limited to the bits below `bits`.
+    fn block_oracle<R: RngCore + ?Sized>(
+        bits: usize,
+        ones: impl Fn(usize) -> u64,
+        pair: PerturbParams,
+        rng: &mut R,
+    ) -> BitVec {
+        let keep = Bernoulli::new(pair.p).unwrap();
+        let noise = Bernoulli::new(pair.q).unwrap();
+        let mut out = BitVec::zeros(bits);
+        for bi in 0..bits.div_ceil(64) {
+            let lanes = u64::MAX >> (64 - (bits - 64 * bi).min(64));
+            out.set_block(bi, bernoulli_block(ones(bi), lanes, &keep, &noise, rng));
         }
         out
     }
 
     #[test]
-    fn dense_kernel_matches_per_bit_oracle() {
+    fn block_paths_compose_bernoulli_block() {
         use crate::chain::{ue_chain_params, UeChain};
         let mut pairs = vec![params(1.0, 0.3)]; // `always` keep: no draw on ones
-        for chain in [UeChain::OueSue, UeChain::SueSue] {
-            pairs.push(ue_chain_params(chain, 2.0, 1.0).unwrap().irr);
+        for chain in [
+            UeChain::OueSue,
+            UeChain::SueSue,
+            UeChain::OueOue,
+            UeChain::SueOue,
+        ] {
+            let cp = ue_chain_params(chain, 2.0, 1.0).unwrap();
+            pairs.extend([cp.prr, cp.irr]);
         }
         for (pi, &pair) in pairs.iter().enumerate() {
             assert!(
@@ -244,35 +192,54 @@ mod tests {
             );
             for bits in [1usize, 10, 63, 64, 65, 128, 1412] {
                 let kernel = IrrKernel::new(bits, pair);
+                let client = (bits >= 2)
+                    .then(|| UeClient::with_params(bits as u64, pair.p, pair.q).unwrap());
                 let mut fast = derive_rng(404, (pi * 10_000 + bits) as u64);
                 let mut slow = fast.clone();
                 let mut input_rng = derive_rng(405, bits as u64);
                 let mut out = BitVec::zeros(bits);
-                out.set_block(0, u64::MAX); // stale bits must not survive
                 for round in 0..20 {
                     // Random inputs with stray bits beyond `bits`: the
                     // kernel must never carry them into the output.
+                    out.set_block(0, u64::MAX); // stale bits must not survive
                     let input: Vec<u64> = (0..bits.div_ceil(64))
                         .map(|_| input_rng.next_u64())
                         .collect();
                     kernel.perturb_blocks_into(&input, &mut fast, &mut out);
-                    let want = dense_oracle(&kernel, &input, &mut slow);
-                    assert_eq!(out, want, "{pair:?} bits {bits} round {round}");
-                    assert_eq!(fast.state(), slow.state(), "{pair:?} bits {bits}");
-                    let tail = bits % 64;
-                    if tail != 0 {
-                        assert_eq!(out.blocks().last().unwrap() >> tail, 0, "bit >= {bits} set");
+                    let want = block_oracle(bits, |bi| input[bi], pair, &mut slow);
+                    assert_eq!(out, want, "IRR {pair:?} bits {bits} round {round}");
+                    assert_eq!(fast.state(), slow.state(), "IRR {pair:?} bits {bits}");
+                    assert_no_bit_past(&out, bits);
+                    if let Some(client) = &client {
+                        let v = (input_rng.next_u64() % bits as u64) as usize;
+                        out.set_block(0, u64::MAX);
+                        client.perturb_into(v as u64, &mut fast, &mut out);
+                        let one_hot = |bi: usize| if bi == v / 64 { 1 << (v % 64) } else { 0 };
+                        let want = block_oracle(bits, one_hot, pair, &mut slow);
+                        assert_eq!(out, want, "UE {pair:?} bits {bits} value {v}");
+                        assert_eq!(fast.state(), slow.state(), "UE {pair:?} bits {bits}");
+                        assert_no_bit_past(&out, bits);
                     }
                 }
             }
         }
     }
 
+    fn assert_no_bit_past(out: &BitVec, bits: usize) {
+        let tail = bits % 64;
+        if tail != 0 {
+            assert_eq!(out.blocks().last().unwrap() >> tail, 0, "bit >= {bits} set");
+        }
+    }
+
     #[test]
-    fn iter_ones_respects_bit_limit() {
-        let blocks = [u64::MAX, u64::MAX];
-        let ones: Vec<usize> = iter_ones(&blocks, 70).collect();
-        assert_eq!(ones.len(), 70);
-        assert_eq!(*ones.last().unwrap(), 69);
+    fn sparse_path_ignores_input_bits_past_the_end() {
+        let kernel = IrrKernel::new(70, params(1.0, 0.02));
+        let mut rng = derive_rng(406, 0);
+        for _ in 0..50 {
+            let out = kernel.perturb_blocks(&[u64::MAX, u64::MAX], &mut rng);
+            assert_eq!(out.count_ones(), 70, "p = 1 keeps exactly the 70 ones");
+            assert_no_bit_past(&out, 70);
+        }
     }
 }

@@ -48,8 +48,16 @@ pub fn chained_frequency_estimates(
 
 /// Eq. (4): the exact variance of the chained estimator for a value with
 /// true frequency `f`.
+///
+/// The support count is `Binomial(n, γ)` with `γ = f·p_s + (1−f)·q_s`,
+/// where `p_s = p1·p2 + (1−p1)·q2` and `q_s = q1·p2 + (1−q1)·q2`, so
+/// `γ = f·(p1−q1)(p2−q2) + p2·q1 + q2·(1−q1)`. The paper prints the `f`
+/// coefficient as `2p1p2 − 2p1q2 + 2q2 − 1`, which is the same number for
+/// symmetric chains (L-SUE, `p + q = 1` in both rounds) and is multiplied
+/// by `f = 0` in Eq. (5); for the OUE-IRR chains (L-OUE, L-SOUE) it
+/// understates the variance of frequent values about twofold.
 pub fn chained_variance(f: f64, n: f64, p1: f64, q1: f64, p2: f64, q2: f64) -> f64 {
-    let gamma = f * (2.0 * p1 * p2 - 2.0 * p1 * q2 + 2.0 * q2 - 1.0) + p2 * q1 + q2 * (1.0 - q1);
+    let gamma = f * (p1 - q1) * (p2 - q2) + p2 * q1 + q2 * (1.0 - q1);
     gamma * (1.0 - gamma) / (n * (p1 - q1).powi(2) * (p2 - q2).powi(2))
 }
 
@@ -119,6 +127,26 @@ mod tests {
             chained_variance(0.0, n, p1, q1, p2, q2),
             chained_variance_approx(n, p1, q1, p2, q2)
         );
+    }
+
+    #[test]
+    fn eq4_is_the_binomial_variance_of_the_support_count() {
+        let (n, f) = (10_000.0, 0.15f64);
+        for (p1, q1, p2, q2) in [(0.5f64, 0.12, 0.5, 0.08), (0.73, 0.27, 0.5, 0.07)] {
+            let ps = p1 * p2 + (1.0 - p1) * q2;
+            let qs = q1 * p2 + (1.0 - q1) * q2;
+            let gamma = f * ps + (1.0 - f) * qs;
+            let want = gamma * (1.0 - gamma) / (n * ((p1 - q1) * (p2 - q2)).powi(2));
+            let got = chained_variance(f, n, p1, q1, p2, q2);
+            assert!((got / want - 1.0).abs() < 1e-12, "{got} vs {want}");
+        }
+        // Symmetric chains: the paper's printed coefficient agrees.
+        let (p1, p2) = (0.8f64, 0.7f64);
+        let (q1, q2) = (1.0 - p1, 1.0 - p2);
+        let printed =
+            f * (2.0 * p1 * p2 - 2.0 * p1 * q2 + 2.0 * q2 - 1.0) + p2 * q1 + q2 * (1.0 - q1);
+        let printed = printed * (1.0 - printed) / (n * ((p1 - q1) * (p2 - q2)).powi(2));
+        assert!((chained_variance(f, n, p1, q1, p2, q2) / printed - 1.0).abs() < 1e-12);
     }
 
     #[test]

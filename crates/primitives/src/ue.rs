@@ -5,29 +5,100 @@
 //! probability `q`. SUE picks the symmetric pair (`p + q = 1`), OUE the
 //! variance-optimal pair (`p = 1/2`, `q = 1/(e^ε+1)`).
 //!
-//! Perturbation is O(k·q) expected time, not O(k): the zero bits that flip
-//! up are enumerated by geometric skipping when `q` is small, falling back
-//! to a per-bit loop for dense `q`.
+//! The bit channel itself is [`UeChannel`], shared with the longitudinal
+//! IRR, which applies it to memoized vectors with many ones.
+//!
+//! **RNG consumption is part of the determinism contract**
+//! (docs/ARCHITECTURE.md). Below [`SPARSE_Q_THRESHOLD`] the rising zeros
+//! of all `k` positions are enumerated by geometric skipping
+//! ([`SparseHits`]), then every 1 of the input is re-drawn with
+//! [`Bernoulli::sample`] in ascending order, overwriting any hit there.
+//! Otherwise the blocks are drawn in ascending order, each by one
+//! [`bernoulli_block`] call over the block's bits below `k`: most
+//! significant bit first, bit-sliced words until every lane is decided,
+//! no draw for a lane whose sampler has p = 1. Moving the threshold or
+//! changing this order changes every report, so it needs new versioned
+//! fixtures, never a silent edit.
 
 use crate::bitvec::BitVec;
 use crate::error::ParamError;
 use crate::estimator::frequency_estimates;
 use crate::params::{oue_params, sue_params, PerturbParams};
-use ldp_rand::{Bernoulli, SparseHits};
+use ldp_rand::{bernoulli_block, Bernoulli, SparseHits};
 use rand::RngCore;
 
-/// Below this noise probability the zero bits are enumerated by geometric
-/// skipping; above it a dense per-bit loop is cheaper. Part of the
-/// determinism contract (docs/ARCHITECTURE.md): moving it changes reports.
-const SPARSE_Q_THRESHOLD: f64 = 0.12;
+/// Below this noise probability the rising zeros are enumerated by
+/// geometric skipping; above it the block sampler is cheaper. The block
+/// sampler's cost does not depend on `q` while skipping's grows with
+/// `k·q`; for k in the thousands they cross near this value. Part of the
+/// determinism contract (module docs): moving it changes reports.
+pub const SPARSE_Q_THRESHOLD: f64 = 0.035;
+
+/// The UE bit channel: every 1 survives with probability `p`, every 0
+/// rises with probability `q`, all bits independent.
+#[derive(Debug, Clone, Copy)]
+pub struct UeChannel {
+    params: PerturbParams,
+    keep: Bernoulli,
+    noise: Bernoulli,
+}
+
+impl UeChannel {
+    /// Creates the channel for `(p, q)`.
+    pub fn new(params: PerturbParams) -> Self {
+        Self {
+            params,
+            keep: Bernoulli::new(params.p).expect("validated p"),
+            noise: Bernoulli::new(params.q).expect("validated q"),
+        }
+    }
+
+    /// The `(p, q)` pair.
+    pub fn params(&self) -> PerturbParams {
+        self.params
+    }
+
+    /// Perturbs the `out.len()`-bit vector whose block `bi` (little-endian
+    /// bit order) is `ones(bi)`, overwriting every bit of `out`. Bits of
+    /// `ones(bi)` at or past `out.len()` are ignored.
+    pub fn perturb_into<R: RngCore + ?Sized>(
+        &self,
+        ones: impl Fn(usize) -> u64,
+        rng: &mut R,
+        out: &mut BitVec,
+    ) {
+        let bits = out.len();
+        let lanes = |bi: usize| u64::MAX >> (64 - (bits - 64 * bi).min(64));
+        let q = self.params.q;
+        if q > 0.0 && q < SPARSE_Q_THRESHOLD {
+            out.clear();
+            for i in SparseHits::new(q, bits as u64, rng).expect("q in (0, 1)") {
+                out.set(i as usize, true);
+            }
+            for bi in 0..bits.div_ceil(64) {
+                let mut word = ones(bi) & lanes(bi);
+                while word != 0 {
+                    out.set(
+                        64 * bi + word.trailing_zeros() as usize,
+                        self.keep.sample(rng),
+                    );
+                    word &= word - 1;
+                }
+            }
+        } else {
+            for bi in 0..bits.div_ceil(64) {
+                let block = bernoulli_block(ones(bi), lanes(bi), &self.keep, &self.noise, rng);
+                out.set_block(bi, block);
+            }
+        }
+    }
+}
 
 /// A one-shot UE client.
 #[derive(Debug, Clone)]
 pub struct UeClient {
     k: usize,
-    params: PerturbParams,
-    keep: Bernoulli,
-    noise: Bernoulli,
+    channel: UeChannel,
 }
 
 impl UeClient {
@@ -50,14 +121,9 @@ impl UeClient {
         if k < 2 {
             return Err(ParamError::DomainTooSmall { k, min: 2 });
         }
-        let params = PerturbParams::new(p, q)?;
-        let keep = Bernoulli::new(p).expect("validated p");
-        let noise = Bernoulli::new(q).expect("validated q");
         Ok(Self {
             k: k as usize,
-            params,
-            keep,
-            noise,
+            channel: UeChannel::new(PerturbParams::new(p, q)?),
         })
     }
 
@@ -68,12 +134,12 @@ impl UeClient {
 
     /// The `(p, q)` pair in use.
     pub fn params(&self) -> PerturbParams {
-        self.params
+        self.channel.params()
     }
 
     /// The ε-LDP level induced by `(p, q)`.
     pub fn epsilon(&self) -> f64 {
-        self.params.epsilon_unary()
+        self.params().epsilon_unary()
     }
 
     /// Encodes and perturbs `value` into a `k`-bit report.
@@ -87,30 +153,14 @@ impl UeClient {
         bits
     }
 
-    /// Perturbs into a caller-provided buffer (cleared first), avoiding the
-    /// allocation on hot paths.
+    /// Perturbs into a caller-provided buffer (every bit overwritten),
+    /// avoiding the allocation on hot paths.
     pub fn perturb_into<R: RngCore + ?Sized>(&self, value: u64, rng: &mut R, bits: &mut BitVec) {
         assert_eq!(bits.len(), self.k, "buffer length mismatch");
         assert!((value as usize) < self.k, "value {value} outside domain");
-        bits.clear();
         let v = value as usize;
-        let q = self.params.q;
-        if q > 0.0 && q < SPARSE_Q_THRESHOLD {
-            // Geometric skipping over all k positions; the true bit's
-            // position is overwritten afterwards, so a hit there is ignored.
-            let hits = SparseHits::new(q, self.k as u64, rng).expect("q in (0, 1) checked above");
-            for i in hits {
-                bits.set(i as usize, true);
-            }
-            bits.set(v, false);
-        } else if q > 0.0 {
-            for i in 0..self.k {
-                if i != v && self.noise.sample(rng) {
-                    bits.set(i, true);
-                }
-            }
-        }
-        bits.set(v, self.keep.sample(rng));
+        let one_hot = |bi: usize| if bi == v / 64 { 1 << (v % 64) } else { 0 };
+        self.channel.perturb_into(one_hot, rng, bits);
     }
 }
 
@@ -192,10 +242,10 @@ mod tests {
 
     #[test]
     fn perturb_bit_rates_match_p_and_q() {
-        // eps=2 OUE has q ≈ 0.119 (sparse path); SUE eps=1 has q ≈ 0.38
-        // (dense path). Check both paths produce the advertised rates.
+        // eps=4 OUE has q ≈ 0.018 (sparse path); SUE eps=1 has q ≈ 0.38
+        // (block path). Check both paths produce the advertised rates.
         for (client, seed) in [
-            (UeClient::oue(40, 2.0).unwrap(), 320u64),
+            (UeClient::oue(40, 4.0).unwrap(), 320u64),
             (UeClient::sue(40, 1.0).unwrap(), 321),
         ] {
             let mut rng = derive_rng(seed, 0);

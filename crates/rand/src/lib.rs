@@ -8,7 +8,8 @@
 //! * [`Xoshiro256pp`] — the workhorse generator (fast, 256-bit state), exposed
 //!   through [`rand::RngCore`] + [`rand::SeedableRng`] so it composes with the
 //!   wider `rand` ecosystem.
-//! * Exact distribution samplers used in hot paths: [`Bernoulli`],
+//! * Exact distribution samplers used in hot paths: [`Bernoulli`] (and
+//!   its 64-lane [`bernoulli_block`]),
 //!   [`Binomial`], [`Geometric`], [`AliasTable`] (Walker's method),
 //!   and [`StandardNormal`]/[`LogNormal`] (polar Box–Muller).
 //! * Sequence utilities: Fisher–Yates [`shuffle`], Floyd's
@@ -32,7 +33,7 @@ mod splitmix;
 mod xoshiro;
 
 pub use alias::AliasTable;
-pub use bernoulli::Bernoulli;
+pub use bernoulli::{bernoulli_block, Bernoulli};
 pub use binomial::{ln_factorial, Binomial};
 pub use gaussian::{LogNormal, StandardNormal};
 pub use geometric::{Geometric, SparseHits};

@@ -212,6 +212,22 @@ fn lue_losue_bias_and_variance_match_theory() {
 
 #[test]
 #[ignore = "tier-2: run with cargo test --release -- --ignored"]
+fn lue_loue_bias_and_variance_match_theory() {
+    // L-OUE: OUE PRR, OUE-solved IRR. Its IRR (q2 ≈ 0.08) is drawn by the
+    // bit-sliced block sampler, not geometric skipping.
+    lue_chain_bias_and_variance("L-OUE", UeChain::OueOue, 0x10E);
+}
+
+#[test]
+#[ignore = "tier-2: run with cargo test --release -- --ignored"]
+fn lue_lsoue_bias_and_variance_match_theory() {
+    // L-SOUE: SUE PRR, OUE-solved IRR (q2 ≈ 0.07), also on the block
+    // sampler.
+    lue_chain_bias_and_variance("L-SOUE", UeChain::SueOue, 0x50E);
+}
+
+#[test]
+#[ignore = "tier-2: run with cargo test --release -- --ignored"]
 fn dbitflip_bias_and_variance_match_theory() {
     // bBitFlipPM with b = k and d = b: every user covers every bucket, so
     // each bucket count is Binomial(n, γ_j) and the SUE closed form applies
