@@ -17,10 +17,14 @@
 //!   single [`ClientConfig::build_state`] constructor every front end
 //!   dispatches through.
 //! * [`ClientPool`] — the owner of all per-user state in a dense layout
-//!   with `(seed, user)`-derived SplitMix/Xoshiro RNG streams, and
-//!   [`ClientPool::sanitize_round`]: N-way parallel sanitization feeding
-//!   report envelopes straight into `ldp_ingest::IngestPipeline` handles,
-//!   bit-identical to a single-threaded pass for any worker count.
+//!   with `(seed, user)`-derived SplitMix/Xoshiro RNG streams, and one
+//!   N-way parallel sanitize driver behind every round method: it feeds
+//!   each worker's reports into a [`ReportSink`] — a batching submitter
+//!   onto an `ldp_ingest::IngestPipeline` ([`ClientPool::sanitize_round`]),
+//!   a caller's sink such as a network client
+//!   ([`ClientPool::sanitize_round_sinks`]), or an aggregator shard
+//!   ([`ClientPool::sanitize_round_into_shards`]) — bit-identical to a
+//!   single-threaded pass for any worker count.
 //! * [`ClientStore`] / [`ClientCheckpoint`] — durable client-state
 //!   checkpoints in the workspace's unified container codec
 //!   ([`ldp_primitives::codec`]; on-disk spec in

@@ -26,11 +26,12 @@
 use crate::config::ClientConfig;
 use crate::state::{ClientState, ReportBuf};
 use crate::store::{ClientCheckpoint, ClientRecord, ClientStoreError};
-use ldp_ingest::{IngestError, IngestHandle, DEFAULT_BATCH_REPORTS};
+use ldp_ingest::{BatchSubmitter, IngestError, IngestHandle, DEFAULT_BATCH_REPORTS};
 use ldp_obs::{Counter, Gauge, Histogram, MetricsRegistry, Span};
 use ldp_primitives::error::ParamError;
 use ldp_rand::{derive_rng2, LdpRng, Xoshiro256pp};
 use ldp_runtime::Shard;
+use std::convert::Infallible;
 
 /// The stream tag under which per-user RNGs derive from the master seed.
 /// Pinned: changing it would re-randomize every reproduction seed.
@@ -46,7 +47,7 @@ struct UserSlot {
 /// collector over the wire (`ldp_netd`'s loadgen sinks) without the
 /// pool knowing the difference. Implementations receive validated
 /// support sets keyed by absolute user index — routing-compatible with
-/// [`IngestHandle::submit`] — and flush any buffering in
+/// [`ldp_ingest::BatchSubmitter::submit`] — and flush any buffering in
 /// [`ReportSink::finish`] before the round closes.
 pub trait ReportSink {
     /// Why a submission (or flush) failed.
@@ -65,15 +66,26 @@ pub trait ReportSink {
 /// The in-process reference sink: the batched ingest transport itself.
 /// `finish` flushes without consuming (the pool calls it through a
 /// mutable borrow); callers still own the submitter afterwards.
-impl ReportSink for ldp_ingest::BatchSubmitter {
+impl ReportSink for BatchSubmitter {
     type Error = IngestError;
 
     fn submit(&mut self, user: u64, support: &[usize]) -> Result<(), IngestError> {
-        ldp_ingest::BatchSubmitter::submit(self, user, support.iter().copied())
+        BatchSubmitter::submit(self, user, support.iter().copied())
     }
 
     fn finish(&mut self) -> Result<(), IngestError> {
         self.flush()
+    }
+}
+
+/// The untransported sink: folds each report straight into an
+/// aggregator shard ([`ClientPool::sanitize_round_into_shards`]).
+impl ReportSink for Shard {
+    type Error = Infallible;
+
+    fn submit(&mut self, _user: u64, support: &[usize]) -> Result<(), Infallible> {
+        self.add_report(support.iter().copied());
+        Ok(())
     }
 }
 
@@ -222,8 +234,9 @@ impl ClientPool {
     /// `workers` threads, submitting to the ingest pipeline keyed by user
     /// index through the batched transport
     /// ([`ldp_ingest::DEFAULT_BATCH_REPORTS`] reports per envelope).
-    /// Bit-identical to a single-threaded pass — and to per-report
-    /// submission — for any worker count and batch size.
+    /// Bit-identical to a single-threaded pass for any worker count.
+    /// Every worker finishes its [`ldp_ingest::BatchSubmitter`] before
+    /// joining, so the pipeline's next barrier observes the whole round.
     ///
     /// # Panics
     /// Panics if `values.len()` differs from the population size.
@@ -233,98 +246,24 @@ impl ClientPool {
         workers: usize,
         handle: &IngestHandle,
     ) -> Result<(), IngestError> {
-        self.sanitize_round_batched(values, workers, handle, DEFAULT_BATCH_REPORTS)
-    }
-
-    /// [`Self::sanitize_round`] with an explicit transport batch size
-    /// (clamped to ≥ 1 by the submitter). Every worker finishes its
-    /// [`ldp_ingest::BatchSubmitter`] before joining, so the pipeline's
-    /// next barrier observes the whole round.
-    pub fn sanitize_round_batched(
-        &mut self,
-        values: &[u64],
-        workers: usize,
-        handle: &IngestHandle,
-        batch_reports: usize,
-    ) -> Result<(), IngestError> {
-        assert_eq!(values.len(), self.users.len(), "one value per user");
-        let _timed = Span::enter(&self.obs.sanitize_ns);
-        self.mark_all_dirty();
-        let chunk_len = chunk_len(self.users.len(), workers);
-        let results: Vec<Result<(), IngestError>> = std::thread::scope(|s| {
-            let mut joins = Vec::new();
-            for (ci, chunk) in self.users.chunks_mut(chunk_len).enumerate() {
-                let base = ci * chunk_len;
-                let slice = &values[base..base + chunk.len()];
-                let h = handle.clone();
-                joins.push(s.spawn(move || {
-                    let mut sub = h.batching(batch_reports);
-                    let mut buf = ReportBuf::new();
-                    for (j, (slot, &value)) in chunk.iter_mut().zip(slice).enumerate() {
-                        slot.state.report_into(value, &mut slot.rng, &mut buf);
-                        sub.submit((base + j) as u64, buf.support().iter().copied())?;
-                    }
-                    sub.finish()
-                }));
-            }
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("sanitize worker panicked"))
-                .collect()
-        });
-        self.obs.reports.inc_by(values.len() as u64);
-        results.into_iter().collect()
-    }
-
-    /// [`Self::sanitize_round`] over the per-report transport (one
-    /// envelope per report). The batched path's oracle: the property
-    /// suites assert both produce bit-identical rounds.
-    pub fn sanitize_round_per_report(
-        &mut self,
-        values: &[u64],
-        workers: usize,
-        handle: &IngestHandle,
-    ) -> Result<(), IngestError> {
-        assert_eq!(values.len(), self.users.len(), "one value per user");
-        let _timed = Span::enter(&self.obs.sanitize_ns);
-        self.mark_all_dirty();
-        let chunk_len = chunk_len(self.users.len(), workers);
-        let results: Vec<Result<(), IngestError>> = std::thread::scope(|s| {
-            let mut joins = Vec::new();
-            for (ci, chunk) in self.users.chunks_mut(chunk_len).enumerate() {
-                let base = ci * chunk_len;
-                let slice = &values[base..base + chunk.len()];
-                let h = handle.clone();
-                joins.push(s.spawn(move || {
-                    let mut buf = ReportBuf::new();
-                    for (j, (slot, &value)) in chunk.iter_mut().zip(slice).enumerate() {
-                        slot.state.report_into(value, &mut slot.rng, &mut buf);
-                        h.submit((base + j) as u64, buf.support().iter().copied())?;
-                    }
-                    Ok(())
-                }));
-            }
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("sanitize worker panicked"))
-                .collect()
-        });
-        self.obs.reports.inc_by(values.len() as u64);
-        results.into_iter().collect()
+        self.drive(Round::Dense(values), &mut batching_sinks(handle, workers))
     }
 
     /// Sanitizes a full round into caller-provided [`ReportSink`]s, one
     /// sink per worker thread: users split into `sinks.len()` contiguous
-    /// chunks exactly as [`Self::sanitize_round_batched`] splits them
-    /// over workers, chunk `i` reporting through `sinks[i]`. With
-    /// in-process batching sinks this *is* the batched path; with
-    /// `ldp_netd`'s network sinks the same pass drives a remote
-    /// collector — per-user sanitization, routing keys, and RNG
-    /// consumption are identical either way, which is what makes the
-    /// network path's output byte-identical to the local one.
+    /// chunks exactly as [`Self::sanitize_round`] splits them over
+    /// workers, chunk `i` reporting through `sinks[i]`. With in-process
+    /// batching sinks this *is* the batched path; with `ldp_netd`'s
+    /// network sinks the same pass drives a remote collector — per-user
+    /// sanitization, routing keys, and RNG consumption are identical
+    /// either way, which is what makes the network path's output
+    /// byte-identical to the local one.
     ///
-    /// Trailing sinks beyond the number of chunks (more sinks than
-    /// users) receive no reports and are not finished.
+    /// Each sink with a chunk is finished exactly once, after its last
+    /// report. Trailing sinks beyond the number of chunks (more sinks
+    /// than users) receive no reports and are not finished. A failed
+    /// submit ends its own chunk unfinished; the other chunks still run
+    /// and finish, and the round returns the first error in chunk order.
     ///
     /// # Panics
     /// Panics if `values.len()` differs from the population size or
@@ -337,37 +276,7 @@ impl ClientPool {
     where
         S: ReportSink + Send,
     {
-        assert_eq!(values.len(), self.users.len(), "one value per user");
-        assert!(!sinks.is_empty(), "at least one sink");
-        let _timed = Span::enter(&self.obs.sanitize_ns);
-        self.mark_all_dirty();
-        let chunk_len = chunk_len(self.users.len(), sinks.len());
-        let results: Vec<Result<(), S::Error>> = std::thread::scope(|s| {
-            let mut joins = Vec::new();
-            for ((ci, chunk), sink) in self
-                .users
-                .chunks_mut(chunk_len)
-                .enumerate()
-                .zip(sinks.iter_mut())
-            {
-                let base = ci * chunk_len;
-                let slice = &values[base..base + chunk.len()];
-                joins.push(s.spawn(move || {
-                    let mut buf = ReportBuf::new();
-                    for (j, (slot, &value)) in chunk.iter_mut().zip(slice).enumerate() {
-                        slot.state.report_into(value, &mut slot.rng, &mut buf);
-                        sink.submit((base + j) as u64, buf.support())?;
-                    }
-                    sink.finish()
-                }));
-            }
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("sanitize worker panicked"))
-                .collect()
-        });
-        self.obs.reports.inc_by(values.len() as u64);
-        results.into_iter().collect()
+        self.drive(Round::Dense(values), sinks)
     }
 
     /// Sanitizes a full round directly into aggregator shards: users are
@@ -380,26 +289,7 @@ impl ClientPool {
     /// Panics if `values.len()` differs from the population size or
     /// `shards` is empty.
     pub fn sanitize_round_into_shards(&mut self, values: &[u64], shards: &mut [Shard]) {
-        assert_eq!(values.len(), self.users.len(), "one value per user");
-        assert!(!shards.is_empty(), "at least one shard");
-        let _timed = Span::enter(&self.obs.sanitize_ns);
-        self.obs.reports.inc_by(values.len() as u64);
-        self.mark_all_dirty();
-        let chunk_len = chunk_len(self.users.len(), shards.len());
-        std::thread::scope(|s| {
-            let mut offset = 0usize;
-            for (chunk, shard) in self.users.chunks_mut(chunk_len).zip(shards.iter_mut()) {
-                let slice = &values[offset..offset + chunk.len()];
-                offset += chunk.len();
-                s.spawn(move || {
-                    let mut buf = ReportBuf::new();
-                    for (slot, &value) in chunk.iter_mut().zip(slice) {
-                        slot.state.report_into(value, &mut slot.rng, &mut buf);
-                        shard.add_report(buf.support().iter().copied());
-                    }
-                });
-            }
-        });
+        let Ok(()) = self.drive(Round::Dense(values), shards);
     }
 
     /// Sanitizes a sparse round — `(user, value)` assignments for the
@@ -407,8 +297,9 @@ impl ClientPool {
     /// to the pipeline keyed by user index through the batched transport
     /// ([`ldp_ingest::DEFAULT_BATCH_REPORTS`] reports per envelope). Each
     /// worker owns a contiguous user-index range and handles the
-    /// assignments falling in it, so the result is bit-identical for any
-    /// worker count and batch size.
+    /// assignments falling in it, in their original order, so the result
+    /// is bit-identical for any worker count. Only the assigned users
+    /// are flagged dirty.
     ///
     /// # Panics
     /// Panics if an assignment names an out-of-range user. A user assigned
@@ -420,49 +311,56 @@ impl ClientPool {
         workers: usize,
         handle: &IngestHandle,
     ) -> Result<(), IngestError> {
-        self.sanitize_assignments_batched(assignments, workers, handle, DEFAULT_BATCH_REPORTS)
+        self.drive(
+            Round::Sparse(assignments),
+            &mut batching_sinks(handle, workers),
+        )
     }
 
-    /// [`Self::sanitize_assignments`] with an explicit transport batch
-    /// size (clamped to ≥ 1 by the submitter). Every worker finishes its
-    /// [`ldp_ingest::BatchSubmitter`] before joining.
-    pub fn sanitize_assignments_batched(
-        &mut self,
-        assignments: &[(usize, u64)],
-        workers: usize,
-        handle: &IngestHandle,
-        batch_reports: usize,
-    ) -> Result<(), IngestError> {
+    /// The one sanitize loop behind every round method. Users split into
+    /// `sinks.len()` contiguous chunks; chunk `i` sanitizes its share of
+    /// `round` on its own scoped thread into `sinks[i]` (see
+    /// [`Self::sanitize_round_sinks`] for the sink contract).
+    fn drive<S>(&mut self, round: Round<'_>, sinks: &mut [S]) -> Result<(), S::Error>
+    where
+        S: ReportSink + Send,
+    {
+        let n = self.users.len();
+        assert!(!sinks.is_empty(), "at least one sink");
         let _timed = Span::enter(&self.obs.sanitize_ns);
-        self.obs.reports.inc_by(assignments.len() as u64);
-        let chunk_len = chunk_len(self.users.len(), workers);
-        // One O(assignments) bucketing pass: each worker receives only its
-        // own entries, in their original order, instead of every worker
-        // re-scanning the whole slice.
-        let n_buckets = self.users.len().div_ceil(chunk_len);
-        let mut buckets: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n_buckets];
-        for &(u, value) in assignments {
-            assert!(u < self.users.len(), "assignment names user {u}");
-            self.mark_dirty(u);
-            buckets[u / chunk_len].push((u, value));
-        }
-        self.publish_dirty();
-        let results: Vec<Result<(), IngestError>> = std::thread::scope(|s| {
-            let mut joins = Vec::new();
-            for ((ci, chunk), bucket) in self.users.chunks_mut(chunk_len).enumerate().zip(buckets) {
-                let base = ci * chunk_len;
-                let h = handle.clone();
-                joins.push(s.spawn(move || {
-                    let mut sub = h.batching(batch_reports);
-                    let mut buf = ReportBuf::new();
-                    for (u, value) in bucket {
-                        let slot = &mut chunk[u - base];
-                        slot.state.report_into(value, &mut slot.rng, &mut buf);
-                        sub.submit(u as u64, buf.support().iter().copied())?;
-                    }
-                    sub.finish()
-                }));
+        let chunk_len = n.div_ceil(sinks.len()).max(1);
+        let shares: Vec<Share<'_>> = match round {
+            Round::Dense(values) => {
+                assert_eq!(values.len(), n, "one value per user");
+                self.obs.reports.inc_by(n as u64);
+                self.mark_all_dirty();
+                values.chunks(chunk_len).map(Share::Dense).collect()
             }
+            Round::Sparse(assignments) => {
+                self.obs.reports.inc_by(assignments.len() as u64);
+                // One O(assignments) bucketing pass: each worker receives
+                // only its own entries, in their original order.
+                let mut buckets = vec![Vec::new(); n.div_ceil(chunk_len)];
+                for &(u, value) in assignments {
+                    assert!(u < n, "assignment names user {u}");
+                    self.mark_dirty(u);
+                    buckets[u / chunk_len].push((u, value));
+                }
+                self.publish_dirty();
+                buckets.into_iter().map(Share::Sparse).collect()
+            }
+        };
+        let results: Vec<Result<(), S::Error>> = std::thread::scope(|s| {
+            let joins: Vec<_> = self
+                .users
+                .chunks_mut(chunk_len)
+                .zip(shares)
+                .zip(sinks.iter_mut())
+                .enumerate()
+                .map(|(ci, ((chunk, share), sink))| {
+                    s.spawn(move || sanitize_chunk(chunk, ci * chunk_len, share, sink))
+                })
+                .collect();
             joins
                 .into_iter()
                 .map(|j| j.join().expect("sanitize worker panicked"))
@@ -543,10 +441,58 @@ impl ClientPool {
     }
 }
 
-/// Contiguous chunk length for splitting `n` users over `workers` threads
-/// (the last chunk may be shorter; `workers` clamps to ≥ 1).
-fn chunk_len(n: usize, workers: usize) -> usize {
-    n.div_ceil(workers.max(1)).max(1)
+/// One round's input: `Dense(values)` gives every user a value
+/// (`values[u]` is user `u`'s); `Sparse` lists `(user, value)` pairs for
+/// only the users reporting this round.
+#[derive(Clone, Copy)]
+enum Round<'a> {
+    Dense(&'a [u64]),
+    Sparse(&'a [(usize, u64)]),
+}
+
+/// One chunk's share of a [`Round`]: its slice of a dense round, or the
+/// sparse assignments whose users fall in the chunk.
+enum Share<'a> {
+    Dense(&'a [u64]),
+    Sparse(Vec<(usize, u64)>),
+}
+
+/// Sanitizes one chunk's share into its sink — each report keyed by
+/// absolute user index, `base` being the chunk's first user — then
+/// finishes the sink.
+fn sanitize_chunk<S: ReportSink>(
+    chunk: &mut [UserSlot],
+    base: usize,
+    share: Share<'_>,
+    sink: &mut S,
+) -> Result<(), S::Error> {
+    let mut buf = ReportBuf::new();
+    let mut report = |u: usize, value: u64| {
+        let slot = &mut chunk[u - base];
+        slot.state.report_into(value, &mut slot.rng, &mut buf);
+        sink.submit(u as u64, buf.support())
+    };
+    match share {
+        Share::Dense(values) => {
+            for (j, &value) in values.iter().enumerate() {
+                report(base + j, value)?;
+            }
+        }
+        Share::Sparse(assignments) => {
+            for (u, value) in assignments {
+                report(u, value)?;
+            }
+        }
+    }
+    sink.finish()
+}
+
+/// One default-size batching submitter per worker (`workers` clamps to
+/// ≥ 1).
+fn batching_sinks(handle: &IngestHandle, workers: usize) -> Vec<BatchSubmitter> {
+    (0..workers.max(1))
+        .map(|_| handle.batching(DEFAULT_BATCH_REPORTS))
+        .collect()
 }
 
 #[cfg(test)]
@@ -749,6 +695,98 @@ mod tests {
         check(&p, 12);
         drop(handle);
         pipe.finish_round().unwrap();
+    }
+
+    /// Records what the driver hands one sink; the `fail_at`-th submit
+    /// (0-based) fails.
+    #[derive(Default)]
+    struct CountingSink {
+        users: Vec<u64>,
+        finishes: usize,
+        fail_at: Option<usize>,
+    }
+
+    impl ReportSink for CountingSink {
+        type Error = String;
+
+        fn submit(&mut self, user: u64, _support: &[usize]) -> Result<(), String> {
+            if self.fail_at == Some(self.users.len()) {
+                return Err(format!("sink refused user {user}"));
+            }
+            self.users.push(user);
+            Ok(())
+        }
+
+        fn finish(&mut self) -> Result<(), String> {
+            self.finishes += 1;
+            Ok(())
+        }
+    }
+
+    fn counting_sinks(n: usize) -> Vec<CountingSink> {
+        (0..n).map(|_| CountingSink::default()).collect()
+    }
+
+    #[test]
+    fn sinks_past_the_last_chunk_get_no_report_and_no_finish() {
+        let mut p = pool(Method::LOsue, 3);
+        let mut sinks = counting_sinks(5);
+        p.sanitize_round_sinks(&values(3), &mut sinks).unwrap();
+        for (i, sink) in sinks.iter().enumerate() {
+            if i < 3 {
+                assert_eq!(sink.users, [i as u64], "sink {i}");
+                assert_eq!(sink.finishes, 1, "sink {i}");
+            } else {
+                assert!(sink.users.is_empty(), "sink {i}");
+                assert_eq!(sink.finishes, 0, "sink {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_submit_fails_the_round_while_other_chunks_finish() {
+        let mut p = pool(Method::LOsue, 9);
+        let mut sinks = counting_sinks(3);
+        sinks[1].fail_at = Some(1);
+        sinks[2].fail_at = Some(3); // fails nothing: its chunk has 3 users
+        let err = p.sanitize_round_sinks(&values(9), &mut sinks).unwrap_err();
+        assert_eq!(err, "sink refused user 4");
+        assert_eq!(sinks[0].users, [0, 1, 2]);
+        assert_eq!(sinks[1].users, [3]);
+        assert_eq!(sinks[2].users, [6, 7, 8]);
+        let finishes: Vec<usize> = sinks.iter().map(|s| s.finishes).collect();
+        assert_eq!(finishes, [1, 0, 1]);
+
+        // With two failing chunks the round reports the first in chunk
+        // order.
+        let mut sinks = counting_sinks(3);
+        sinks[1].fail_at = Some(0);
+        sinks[2].fail_at = Some(0);
+        let err = p.sanitize_round_sinks(&values(9), &mut sinks).unwrap_err();
+        assert_eq!(err, "sink refused user 3");
+        assert_eq!(sinks[0].finishes, 1);
+    }
+
+    #[test]
+    fn empty_assignments_submit_nothing_and_keep_the_dirty_flags() {
+        let reg = MetricsRegistry::new();
+        let mut p = pool(Method::LOsue, 6);
+        p.mark_clean();
+        p.sanitize_one(2, 1, &mut ReportBuf::new());
+        let dirty = p.dirty().to_vec();
+        let cp = p.checkpoint();
+        let mut pipe =
+            IngestPipeline::for_method_obs(Method::LOsue, 16, 2.0, 1.0, 2, &reg).unwrap();
+        let handle = pipe.handle();
+        p.sanitize_assignments(&[], 3, &handle).unwrap();
+        drop(handle);
+        assert_eq!(p.dirty(), dirty);
+        assert_eq!(p.checkpoint(), cp, "no RNG stream moved");
+        assert_eq!(pipe.finish_round().unwrap().reports, 0);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter_total("ldp.ingest.pipeline.reports_routed"), 0);
+        // Only the two end_round barriers crossed the channels.
+        assert_eq!(snap.counter_total("ldp.ingest.pipeline.envelopes"), 2);
     }
 
     #[test]

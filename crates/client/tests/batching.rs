@@ -3,13 +3,15 @@
 //! The batched ingest transport (`ldp_ingest::BatchSubmitter`) must be a
 //! pure wire-shape optimization: for every method, worker count, and
 //! batch size — including 1 and sizes that do not divide the round — a
-//! pooled sanitize round submitted in batches is **bit-identical** to the
-//! per-report round, and a full-collector checkpoint/resume taken while
-//! batches were in flight loses and duplicates nothing.
+//! pooled sanitize round submitted in batches is **bit-identical** to a
+//! single-threaded pass that folds each `sanitize_one` report straight
+//! into a one-shard aggregator, with no transport at all; and a
+//! full-collector checkpoint/resume taken while batches were in flight
+//! loses and duplicates nothing.
 
 use ldp_client::{ClientConfig, ClientPool, ReportBuf};
 use ldp_ingest::IngestPipeline;
-use ldp_runtime::{AggregateSnapshot, Method};
+use ldp_runtime::{AggregateSnapshot, Method, ShardedAggregator};
 
 const K: u64 = 16;
 const EPS_INF: f64 = 2.0;
@@ -26,6 +28,24 @@ fn values() -> Vec<u64> {
     (0..USERS as u64).map(|i| (i * 7) % K).collect()
 }
 
+/// The reference round: `(user, value)` pairs sanitized one at a time, in
+/// order, on a fresh pool, each report folded into a one-shard
+/// aggregator.
+fn single_threaded(method: Method, assignments: &[(usize, u64)]) -> AggregateSnapshot {
+    let mut p = pool(method);
+    let mut agg = ShardedAggregator::for_method(method, K, EPS_INF, EPS_FIRST, 1).unwrap();
+    let mut buf = ReportBuf::new();
+    for &(u, v) in assignments {
+        p.sanitize_one(u, v, &mut buf);
+        agg.push_report(0, buf.support().iter().copied());
+    }
+    agg.finish_round()
+}
+
+fn dense(vals: &[u64]) -> Vec<(usize, u64)> {
+    vals.iter().copied().enumerate().collect()
+}
+
 fn assert_bit_identical(a: &AggregateSnapshot, b: &AggregateSnapshot, ctx: &str) {
     assert_eq!(a.counts, b.counts, "{ctx}: merged counts");
     assert_eq!(a.reports, b.reports, "{ctx}: report totals");
@@ -36,19 +56,13 @@ fn assert_bit_identical(a: &AggregateSnapshot, b: &AggregateSnapshot, ctx: &str)
 }
 
 /// All 9 methods × workers {1, 2, 4} × batch sizes {1, 7, 64, full
-/// round}: batched estimates byte-identical to per-report estimates.
+/// round}, plus the default-batch `sanitize_round`: batched estimates
+/// byte-identical to the single-threaded reference.
 #[test]
 fn batched_round_equals_per_report_round_for_every_method() {
     for method in Method::all() {
         let vals = values();
-        let mut reference = pool(method);
-        let mut ref_pipe = IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, 2).unwrap();
-        let handle = ref_pipe.handle();
-        reference
-            .sanitize_round_per_report(&vals, 2, &handle)
-            .unwrap();
-        drop(handle);
-        let want = ref_pipe.finish_round().unwrap();
+        let want = single_threaded(method, &dense(&vals));
 
         for workers in [1usize, 2, 4] {
             // Batch sizes: degenerate (1), non-divisor (7), mid (64, also
@@ -58,9 +72,9 @@ fn batched_round_equals_per_report_round_for_every_method() {
                 let mut pipe =
                     IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, workers).unwrap();
                 let handle = pipe.handle();
-                p.sanitize_round_batched(&vals, workers, &handle, batch)
-                    .unwrap();
-                drop(handle);
+                let mut sinks: Vec<_> = (0..workers).map(|_| handle.batching(batch)).collect();
+                p.sanitize_round_sinks(&vals, &mut sinks).unwrap();
+                drop(sinks);
                 let got = pipe.finish_round().unwrap();
                 assert_bit_identical(
                     &want,
@@ -68,33 +82,42 @@ fn batched_round_equals_per_report_round_for_every_method() {
                     &format!("{method:?}, {workers} workers, batch {batch}"),
                 );
             }
+            let mut p = pool(method);
+            let mut pipe =
+                IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, workers).unwrap();
+            p.sanitize_round(&vals, workers, &pipe.handle()).unwrap();
+            let got = pipe.finish_round().unwrap();
+            assert_bit_identical(
+                &want,
+                &got,
+                &format!("{method:?}, {workers} workers, default batch"),
+            );
         }
     }
 }
 
-/// Sparse assignment rounds through the batched transport match the
-/// per-report dense equivalent for non-divisor batch sizes.
+/// Sparse assignment rounds through the batched transport (default batch
+/// size) match the single-threaded reference, for the full population
+/// and for a strict subset of it.
 #[test]
 fn batched_assignments_equal_per_report_round() {
     let vals = values();
-    let dense: Vec<(usize, u64)> = vals.iter().copied().enumerate().collect();
-    let mut a = pool(Method::LOsue);
-    let mut pipe_a = IngestPipeline::for_method(Method::LOsue, K, EPS_INF, EPS_FIRST, 2).unwrap();
-    let ha = pipe_a.handle();
-    a.sanitize_round_per_report(&vals, 2, &ha).unwrap();
-    drop(ha);
-    let want = pipe_a.finish_round().unwrap();
-
-    for batch in [1usize, 7, 64] {
-        let mut b = pool(Method::LOsue);
-        let mut pipe_b =
-            IngestPipeline::for_method(Method::LOsue, K, EPS_INF, EPS_FIRST, 3).unwrap();
-        let hb = pipe_b.handle();
-        b.sanitize_assignments_batched(&dense, 4, &hb, batch)
-            .unwrap();
-        drop(hb);
-        let got = pipe_b.finish_round().unwrap();
-        assert_bit_identical(&want, &got, &format!("assignments, batch {batch}"));
+    let full = dense(&vals);
+    let every_third: Vec<(usize, u64)> = full.iter().copied().step_by(3).collect();
+    for (assignments, ctx) in [
+        (&full, "full population"),
+        (&every_third, "every third user"),
+    ] {
+        let want = single_threaded(Method::LOsue, assignments);
+        for workers in [1usize, 4] {
+            let mut b = pool(Method::LOsue);
+            let mut pipe =
+                IngestPipeline::for_method(Method::LOsue, K, EPS_INF, EPS_FIRST, 3).unwrap();
+            b.sanitize_assignments(assignments, workers, &pipe.handle())
+                .unwrap();
+            let got = pipe.finish_round().unwrap();
+            assert_bit_identical(&want, &got, &format!("{ctx}, {workers} workers"));
+        }
     }
 }
 
@@ -110,11 +133,10 @@ fn mid_batch_collector_resume_is_lossless() {
 
     let mut uninterrupted = pool(method);
     let mut upipe = IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, 1).unwrap();
-    let uh = upipe.handle();
+    let mut usinks = [upipe.handle().batching(16)];
     uninterrupted
-        .sanitize_round_batched(&vals, 1, &uh, 16)
+        .sanitize_round_sinks(&vals, &mut usinks)
         .unwrap();
-    drop(uh);
     let want = upipe.finish_round().unwrap();
 
     // Interrupted collector: 40 of 60 users sanitized through a batch-16

@@ -1,9 +1,10 @@
-//! The zero-alloc batched report transport.
+//! The zero-alloc batched report transport — the only way reports reach
+//! the pipeline's shard workers.
 //!
-//! Per-report submission pays one heap allocation and one channel message
-//! per report — at population scale the transport constant factors, not
-//! the protocol math, dominate ingest cost. This module amortizes both:
-//! a [`ReportBatch`] packs many whole reports into one flat `u32` index
+//! One envelope per report would pay one heap allocation and one channel
+//! message per report — at population scale the transport constant
+//! factors, not the protocol math, would dominate ingest cost. This
+//! module amortizes both: a [`ReportBatch`] packs many whole reports into one flat `u32` index
 //! buffer (plus per-report end offsets), a
 //! [`BatchSubmitter`](crate::BatchSubmitter) accumulates one batch per
 //! shard and flushes a single envelope when the batch fills, and a

@@ -8,17 +8,18 @@
 //! deployments:
 //!
 //! * [`IngestPipeline`] — a worker-per-shard thread pool over bounded
-//!   `mpsc` channels: report envelopes (single supports, packed report
-//!   batches, pre-aggregated histograms, or expand-on-worker tasks) are
-//!   routed to a worker, drained into its own [`ldp_runtime::Shard`], and
+//!   `mpsc` channels: report envelopes (packed report batches,
+//!   pre-aggregated histograms, or expand-on-worker tasks) are routed to
+//!   a worker, drained into its own [`ldp_runtime::Shard`], and
 //!   merged at round close. Bounded channels give backpressure instead of
 //!   unbounded buffering.
-//! * [`BatchSubmitter`] / [`ReportBatch`] — the zero-alloc batched
-//!   transport: reports pack into recycled per-shard `u32` index buffers
-//!   and cross the channel ~`1/`[`DEFAULT_BATCH_REPORTS`] as often as
-//!   per-report submission, bit-identically (see the [`batch`] module).
+//! * [`BatchSubmitter`] / [`ReportBatch`] — the one report transport,
+//!   zero-alloc in steady state: reports pack into recycled per-shard
+//!   `u32` index buffers and cross the channel one envelope per
+//!   [`DEFAULT_BATCH_REPORTS`] reports (see the [`batch`] module).
 //! * [`Router`] — deterministic report → shard placement (stable key hash
-//!   or round-robin), so replays fill the same shards.
+//!   for reports, round-robin for pre-aggregated histograms), so replays
+//!   fill the same shards.
 //! * [`ShardStore`] / [`ShardCheckpoint`] — a versioned, length-prefixed,
 //!   checksummed binary snapshot of per-shard counts + report totals with
 //!   atomic file replacement, so a collection round can resume *mid-fill*
@@ -29,8 +30,8 @@
 //!
 //! Concurrent runs are bit-identical to single-threaded replay for any
 //! worker count: shard accumulation and the cross-shard merge are both
-//! order-independent sums, and routing is a pure function of the report
-//! key (or submission index). See the [`pipeline`] module docs for the
+//! order-independent sums, and report routing is a pure function of the
+//! report key. See the [`pipeline`] module docs for the
 //! precise argument, and `tests/` for the property suite that pins it
 //! across every [`Method`](ldp_runtime::Method) and worker counts
 //! {1, 2, 4, 8}.

@@ -29,15 +29,14 @@
 //! [`IngestPipeline::snapshot`], [`IngestPipeline::checkpoint`] and
 //! [`IngestPipeline::finish_round`] are barriers: each worker answers only
 //! after draining everything enqueued before the barrier message (channel
-//! FIFO order). Reports submitted through a cloned [`IngestHandle`] on
-//! another thread are included iff their send happened before the barrier.
-//! A [`BatchSubmitter`] buffers reports *submitter-side* until its batch
-//! fills; those buffered reports belong to the submitter, not the
+//! FIFO order). Reports cross the channel only as packed batches: a
+//! [`BatchSubmitter`] buffers reports *submitter-side* until its batch
+//! fills, and those buffered reports belong to the submitter, not the
 //! pipeline, until [`BatchSubmitter::flush`] sends them — so a barrier
-//! observes every batched report iff the submitter flushed (or finished,
-//! or dropped — drop flushes best-effort) before the barrier, the same
-//! shape as the existing drop-all-handles-first contract that scoped
-//! submitter threads enforce structurally.
+//! observes every report iff its submitter flushed (or finished, or
+//! dropped — drop flushes best-effort) before the barrier, on whichever
+//! thread the submitter lives. Scoped submitter threads enforce this
+//! shape structurally.
 
 use crate::batch::{BufferPool, ReportBatch, MAX_BATCH_INDICES};
 use crate::router::Router;
@@ -135,8 +134,6 @@ impl Error for IngestError {}
 
 /// What travels to a shard worker.
 enum Envelope {
-    /// One report's validated support set.
-    Report(Vec<usize>),
     /// A flushed [`BatchSubmitter`] accumulator: many whole reports packed
     /// as flat `u32` indices + per-report end offsets. The worker drains
     /// it in one slice pass and recycles the buffer through the free-list.
@@ -173,7 +170,6 @@ struct PipelineObs {
     batch_fill: Histogram,
     send_blocked: Counter,
     send_blocked_ns: Histogram,
-    env_report: Counter,
     env_reports: Counter,
     env_batch: Counter,
     env_task: Counter,
@@ -194,7 +190,6 @@ impl PipelineObs {
             batch_fill: obs.histogram("ldp.ingest.pipeline.batch_fill"),
             send_blocked: obs.counter("ldp.ingest.pipeline.send_blocked"),
             send_blocked_ns: obs.histogram("ldp.ingest.pipeline.send_blocked_ns"),
-            env_report: obs.counter_labeled(ENVELOPES, "report"),
             env_reports: obs.counter_labeled(ENVELOPES, "report_batch"),
             env_batch: obs.counter_labeled(ENVELOPES, "batch"),
             env_task: obs.counter_labeled(ENVELOPES, "task"),
@@ -216,10 +211,6 @@ fn send_tracked(
     envelope: Envelope,
 ) -> Result<(), IngestError> {
     match &envelope {
-        Envelope::Report(_) => {
-            obs.env_report.inc();
-            obs.routed[worker].inc();
-        }
         Envelope::Reports(batch) => {
             let reports = batch.report_count() as u64;
             obs.env_reports.inc();
@@ -252,7 +243,6 @@ fn worker_loop(dim: usize, rx: Receiver<Envelope>, pool: BufferPool) {
     let mut shard = Shard::with_dim(dim);
     while let Ok(msg) = rx.recv() {
         match msg {
-            Envelope::Report(support) => shard.add_report(support),
             Envelope::Reports(mut batch) => {
                 shard.add_report_batch(batch.indices(), batch.report_count() as u64);
                 batch.clear();
@@ -273,17 +263,18 @@ fn worker_loop(dim: usize, rx: Receiver<Envelope>, pool: BufferPool) {
     }
 }
 
-/// A cloneable, thread-safe submission handle onto a pipeline's workers.
+/// A cloneable, thread-safe handle onto a pipeline's workers, from which
+/// each submitting thread makes its own [`BatchSubmitter`].
 ///
-/// Handles route **by key only** (stable hashing): round-robin from
+/// Submitters route **by key only** (stable hashing): round-robin from
 /// multiple threads would make shard contents depend on thread timing,
-/// which the checkpoint layer forbids. Drop all handles before calling
-/// [`IngestPipeline::finish_round`] if the round must include everything
-/// the submitting threads produced (scoped threads enforce this shape).
+/// which the checkpoint layer forbids. Finish every submitter before
+/// calling [`IngestPipeline::finish_round`] if the round must include
+/// everything the submitting threads produced.
 ///
 /// A handle may safely outlive its pipeline: dropping the pipeline shuts
-/// the workers down regardless of live handles, whose subsequent submits
-/// then fail with [`IngestError::WorkerLost`].
+/// the workers down regardless of live handles, and a later flush from
+/// one of their submitters fails with [`IngestError::WorkerLost`].
 #[derive(Clone)]
 pub struct IngestHandle {
     txs: Vec<SyncSender<Envelope>>,
@@ -294,31 +285,13 @@ pub struct IngestHandle {
 }
 
 impl IngestHandle {
-    /// Submits one report's support set, routed by a stable hash of `key`
-    /// — the same [`Router::route_key`] mapping the owning pipeline uses,
-    /// so handle and pipeline submissions fill identical shards. Blocks
-    /// when the target worker's channel is full (backpressure).
-    pub fn submit<I>(&self, key: u64, support: I) -> Result<(), IngestError>
-    where
-        I: IntoIterator<Item = usize>,
-    {
-        let support = validate_support(support, self.dim)?;
-        let worker = self.router.route_key(key);
-        send_tracked(
-            &self.obs,
-            worker,
-            &self.txs[worker],
-            Envelope::Report(support),
-        )
-    }
-
     /// Wraps this handle in batching mode: reports accumulate in one
     /// recycled per-shard [`ReportBatch`] and cross the channel as a
     /// single envelope every `batch_reports` reports (clamped to ≥ 1),
     /// amortizing allocation and channel traffic ~`1/batch_reports`.
-    /// Routing and shard contents are identical to per-report submission
-    /// — the shard fold is an order-independent sum, so results stay
-    /// bit-identical for every batch size.
+    /// Routing is a stable hash of the key ([`Router::route_key`]), and
+    /// the shard fold is an order-independent sum, so results are
+    /// bit-identical to a single-threaded replay for every batch size.
     ///
     /// Buffered reports are invisible to pipeline barriers until flushed;
     /// call [`BatchSubmitter::finish`] (or rely on the drop flush) before
@@ -413,21 +386,6 @@ impl Drop for BatchSubmitter {
         // callers that need the error.
         let _ = self.flush();
     }
-}
-
-fn validate_support<I>(support: I, dim: usize) -> Result<Vec<usize>, IngestError>
-where
-    I: IntoIterator<Item = usize>,
-{
-    let it = support.into_iter();
-    let mut out = Vec::with_capacity(it.size_hint().0);
-    for index in it {
-        if index >= dim {
-            return Err(IngestError::SupportOutOfRange { index, dim });
-        }
-        out.push(index);
-    }
-    Ok(out)
 }
 
 /// The concurrent shard-parallel ingestion pipeline.
@@ -590,26 +548,6 @@ impl IngestPipeline {
         send_tracked(&self.obs, worker, &self.txs[worker], envelope)
     }
 
-    /// Submits one report's support set, routed by a stable hash of `key`
-    /// (e.g. the user id). Blocks on backpressure.
-    pub fn submit<I>(&mut self, key: u64, support: I) -> Result<(), IngestError>
-    where
-        I: IntoIterator<Item = usize>,
-    {
-        let support = validate_support(support, self.agg.dim())?;
-        self.send(self.router.route_key(key), Envelope::Report(support))
-    }
-
-    /// Submits one report's support set round-robin on submission order.
-    pub fn submit_next<I>(&mut self, support: I) -> Result<(), IngestError>
-    where
-        I: IntoIterator<Item = usize>,
-    {
-        let support = validate_support(support, self.agg.dim())?;
-        let worker = self.router.route_next();
-        self.send(worker, Envelope::Report(support))
-    }
-
     /// Submits a pre-aggregated partial histogram covering `reports`
     /// reports, round-robin on submission order.
     pub fn submit_batch(&mut self, counts: Vec<u64>, reports: u64) -> Result<(), IngestError> {
@@ -729,6 +667,7 @@ impl Drop for IngestPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DEFAULT_BATCH_REPORTS;
 
     fn reference(dim_reports: &[(Vec<usize>, u64)], method: Method, k: u64) -> AggregateSnapshot {
         let mut agg = ShardedAggregator::for_method(method, k, 2.0, 1.0, 1).unwrap();
@@ -755,9 +694,11 @@ mod tests {
         let want = reference(&reports, Method::LGrr, 8);
         for workers in [1usize, 2, 4, 8] {
             let mut pipe = IngestPipeline::for_method(Method::LGrr, 8, 2.0, 1.0, workers).unwrap();
+            let mut sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
             for (support, key) in &reports {
-                pipe.submit(*key, support.iter().copied()).unwrap();
+                sub.submit(*key, support.iter().copied()).unwrap();
             }
+            sub.finish().unwrap();
             let got = pipe.finish_round().unwrap();
             assert_snap_eq(&want, &got, &format!("{workers} workers"));
         }
@@ -767,9 +708,11 @@ mod tests {
     fn workers_persist_across_rounds() {
         let mut pipe = IngestPipeline::for_method(Method::Rappor, 6, 2.0, 1.0, 3).unwrap();
         for round in 0..3u64 {
+            let mut sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
             for i in 0..20u64 {
-                pipe.submit(i, [((i + round) % 6) as usize]).unwrap();
+                sub.submit(i, [((i + round) % 6) as usize]).unwrap();
             }
+            sub.finish().unwrap();
             let snap = pipe.finish_round().unwrap();
             assert_eq!(snap.reports, 20, "round {round}");
         }
@@ -778,13 +721,16 @@ mod tests {
     #[test]
     fn snapshot_is_non_destructive_and_ordered() {
         let mut pipe = IngestPipeline::for_method(Method::LGrr, 5, 2.0, 1.0, 2).unwrap();
-        pipe.submit(1, [2usize]).unwrap();
-        pipe.submit(2, [4usize]).unwrap();
+        let mut sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
+        sub.submit(1, [2usize]).unwrap();
+        sub.submit(2, [4usize]).unwrap();
+        sub.flush().unwrap();
         let snap = pipe.snapshot().unwrap();
         assert_eq!(snap.reports, 2);
         assert_eq!(snap.counts[2], 1);
         assert_eq!(snap.counts[4], 1);
-        pipe.submit(3, [2usize]).unwrap();
+        sub.submit(3, [2usize]).unwrap();
+        sub.finish().unwrap();
         let fin = pipe.finish_round().unwrap();
         assert_eq!(fin.reports, 3);
         assert_eq!(fin.counts[2], 2);
@@ -807,10 +753,12 @@ mod tests {
             for (t, chunk) in reports.chunks(50).enumerate() {
                 let h = handle.clone();
                 s.spawn(move || {
+                    let mut sub = h.batching(16);
                     for (j, support) in chunk.iter().enumerate() {
                         let key = (t * 50 + j) as u64;
-                        h.submit(key, support.iter().copied()).unwrap();
+                        sub.submit(key, support.iter().copied()).unwrap();
                     }
+                    sub.finish().unwrap();
                 });
             }
         });
@@ -823,24 +771,13 @@ mod tests {
     fn backpressure_capacity_one_still_completes() {
         let agg = ShardedAggregator::for_method(Method::LGrr, 4, 2.0, 1.0, 2).unwrap();
         let mut pipe = IngestPipeline::from_aggregator(agg, 1);
+        let mut sub = pipe.handle().batching(1);
         for i in 0..500u64 {
-            pipe.submit(i, [(i % 4) as usize]).unwrap();
+            sub.submit(i, [(i % 4) as usize]).unwrap();
         }
+        sub.finish().unwrap();
         let snap = pipe.finish_round().unwrap();
         assert_eq!(snap.reports, 500);
-    }
-
-    #[test]
-    fn out_of_range_support_is_rejected_before_send() {
-        let mut pipe = IngestPipeline::for_method(Method::LGrr, 4, 2.0, 1.0, 2).unwrap();
-        let err = pipe.submit(0, [7usize]).unwrap_err();
-        assert!(matches!(
-            err,
-            IngestError::SupportOutOfRange { index: 7, dim: 4 }
-        ));
-        // The pipeline is still healthy.
-        pipe.submit(0, [3usize]).unwrap();
-        assert_eq!(pipe.finish_round().unwrap().reports, 1);
     }
 
     #[test]
@@ -870,21 +807,27 @@ mod tests {
     fn checkpoint_restore_resumes_mid_round() {
         let mut uninterrupted =
             IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 3).unwrap();
-        let mut first = IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 3).unwrap();
+        let first = IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 3).unwrap();
+        let mut whole = uninterrupted.handle().batching(DEFAULT_BATCH_REPORTS);
+        let mut sub = first.handle().batching(DEFAULT_BATCH_REPORTS);
         for i in 0..40u64 {
-            uninterrupted.submit(i, [(i % 12) as usize]).unwrap();
-            first.submit(i, [(i % 12) as usize]).unwrap();
+            whole.submit(i, [(i % 12) as usize]).unwrap();
+            sub.submit(i, [(i % 12) as usize]).unwrap();
         }
-        // "Crash" after 40 reports; resume on a pipeline with a different
-        // worker count.
+        // "Crash" after 40 flushed reports; resume on a pipeline with a
+        // different worker count.
+        sub.finish().unwrap();
         let cp = first.checkpoint().unwrap();
         drop(first);
         let mut resumed = IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 5).unwrap();
         resumed.restore(&cp).unwrap();
+        let mut sub = resumed.handle().batching(DEFAULT_BATCH_REPORTS);
         for i in 40..90u64 {
-            uninterrupted.submit(i, [(i % 12) as usize]).unwrap();
-            resumed.submit(i, [(i % 12) as usize]).unwrap();
+            whole.submit(i, [(i % 12) as usize]).unwrap();
+            sub.submit(i, [(i % 12) as usize]).unwrap();
         }
+        whole.finish().unwrap();
+        sub.finish().unwrap();
         let want = uninterrupted.finish_round().unwrap();
         let got = resumed.finish_round().unwrap();
         assert_snap_eq(&want, &got, "checkpoint resume");
@@ -907,10 +850,12 @@ mod tests {
     #[test]
     fn dropping_the_pipeline_with_a_live_handle_does_not_hang() {
         let pipe = IngestPipeline::for_method(Method::LGrr, 4, 2.0, 1.0, 2).unwrap();
-        let handle = pipe.handle();
-        handle.submit(0, [1usize]).unwrap();
+        let mut sub = pipe.handle().batching(1);
+        sub.submit(0, [1usize]).unwrap();
+        sub.flush().unwrap();
         drop(pipe); // must join the workers despite the live handle
-        let err = handle.submit(1, [2usize]).unwrap_err();
+        sub.submit(1, [2usize]).unwrap(); // buffered submitter-side
+        let err = sub.finish().unwrap_err();
         assert!(matches!(err, IngestError::WorkerLost));
     }
 
@@ -925,22 +870,26 @@ mod tests {
         let reg = MetricsRegistry::new();
         let agg = ShardedAggregator::for_method_obs(Method::LGrr, 4, 2.0, 1.0, 2, &reg).unwrap();
         let mut pipe = IngestPipeline::from_aggregator_obs(agg, DEFAULT_CHANNEL_CAPACITY, &reg);
+        // Batches of one: every report crosses the channel in its own
+        // report-batch envelope.
+        let mut sub = pipe.handle().batching(1);
         for i in 0..100u64 {
-            pipe.submit(i, [(i % 4) as usize]).unwrap();
+            sub.submit(i, [(i % 4) as usize]).unwrap();
         }
+        sub.finish().unwrap();
         pipe.submit_batch(vec![1, 0, 0, 0], 5).unwrap();
         assert_eq!(pipe.finish_round().unwrap().reports, 105);
 
         let snap = reg.snapshot();
-        // Routed counts sum exactly to the Report-envelope submissions.
+        // Routed counts sum exactly to the submitted reports.
         assert_eq!(
             snap.counter_total("ldp.ingest.pipeline.reports_routed"),
             100
         );
         assert_eq!(snap.counter_total("ldp.ingest.pipeline.batch_reports"), 5);
         assert_eq!(snap.hist_count("ldp.ingest.pipeline.batch_size"), 1);
-        // Envelope counts by kind: 100 reports, 1 batch, 2 end_round
-        // barriers (one per worker).
+        // Envelope counts by kind: 100 report batches, 1 pre-aggregated
+        // batch, 2 end_round barriers (one per worker).
         assert_eq!(snap.counter_total("ldp.ingest.pipeline.envelopes"), 103);
         // A ~1k-deep channel never fills at this scale: the backpressure
         // signal must stay exactly zero in the unconstrained case.
@@ -1027,10 +976,51 @@ mod tests {
     }
 
     #[test]
+    fn mid_batch_checkpoint_loses_and_duplicates_nothing() {
+        // 40 reports at batch 16: flushes land at 16 and 32, leaving 8
+        // buffered submitter-side. A checkpoint taken there must see
+        // exactly the flushed prefix; resuming from it and resubmitting
+        // the unacknowledged suffix reproduces the uninterrupted round —
+        // no buffered report lost, none double-counted.
+        let mut uninterrupted =
+            IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 3).unwrap();
+        let mut sub = uninterrupted.handle().batching(DEFAULT_BATCH_REPORTS);
+        for i in 0..90u64 {
+            sub.submit(i, [(i % 12) as usize]).unwrap();
+        }
+        sub.finish().unwrap();
+        let want = uninterrupted.finish_round().unwrap();
+
+        // One worker on the crashing side: every report routes to the
+        // same accumulator, so the flushed prefix is exactly 32 (flushes
+        // at submits 17 and 33, leaving reports 32..40 buffered).
+        let first = IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 1).unwrap();
+        let mut sub = first.handle().batching(16);
+        for i in 0..40u64 {
+            sub.submit(i, [(i % 12) as usize]).unwrap();
+        }
+        let cp = first.checkpoint().unwrap();
+        let acknowledged: u64 = cp.shards.iter().map(|s| s.reports).sum();
+        assert_eq!(acknowledged, 32, "checkpoint sees only flushed batches");
+        drop(sub); // the 8 buffered reports die with the "crash"
+        drop(first);
+
+        let mut resumed = IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 5).unwrap();
+        resumed.restore(&cp).unwrap();
+        let mut sub = resumed.handle().batching(16);
+        // The client resubmits everything past the acknowledged prefix.
+        for i in acknowledged..90u64 {
+            sub.submit(i, [(i % 12) as usize]).unwrap();
+        }
+        sub.finish().unwrap();
+        let got = resumed.finish_round().unwrap();
+        assert_snap_eq(&want, &got, "mid-batch checkpoint resume");
+    }
+
+    #[test]
     fn batched_submission_trips_the_backpressure_instruments() {
-        // Same shape as the per-report test below: one worker parked on a
-        // gate behind a capacity-1 channel, so the second flushed batch
-        // deterministically finds the queue full.
+        // One worker parked on a gate behind a capacity-1 channel, so the
+        // second flushed batch deterministically finds the queue full.
         let reg = MetricsRegistry::new();
         let agg = ShardedAggregator::for_method_obs(Method::LGrr, 4, 2.0, 1.0, 1, &reg).unwrap();
         let mut pipe = IngestPipeline::from_aggregator_obs(agg, 1, &reg);
@@ -1062,51 +1052,13 @@ mod tests {
     }
 
     #[test]
-    fn mid_batch_checkpoint_loses_and_duplicates_nothing() {
-        // 40 reports at batch 16: flushes land at 16 and 32, leaving 8
-        // buffered submitter-side. A checkpoint taken there must see
-        // exactly the flushed prefix; resuming from it and resubmitting
-        // the unacknowledged suffix reproduces the uninterrupted round —
-        // no buffered report lost, none double-counted.
-        let mut uninterrupted =
-            IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 3).unwrap();
-        for i in 0..90u64 {
-            uninterrupted.submit(i, [(i % 12) as usize]).unwrap();
-        }
-        let want = uninterrupted.finish_round().unwrap();
-
-        // One worker on the crashing side: every report routes to the
-        // same accumulator, so the flushed prefix is exactly 32 (flushes
-        // at submits 17 and 33, leaving reports 32..40 buffered).
-        let first = IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 1).unwrap();
-        let mut sub = first.handle().batching(16);
-        for i in 0..40u64 {
-            sub.submit(i, [(i % 12) as usize]).unwrap();
-        }
-        let cp = first.checkpoint().unwrap();
-        let acknowledged: u64 = cp.shards.iter().map(|s| s.reports).sum();
-        assert_eq!(acknowledged, 32, "checkpoint sees only flushed batches");
-        drop(sub); // the 8 buffered reports die with the "crash"
-        drop(first);
-
-        let mut resumed = IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 5).unwrap();
-        resumed.restore(&cp).unwrap();
-        let mut sub = resumed.handle().batching(16);
-        // The client resubmits everything past the acknowledged prefix.
-        for i in acknowledged..90u64 {
-            sub.submit(i, [(i % 12) as usize]).unwrap();
-        }
-        sub.finish().unwrap();
-        let got = resumed.finish_round().unwrap();
-        assert_snap_eq(&want, &got, "mid-batch checkpoint resume");
-    }
-
-    #[test]
     fn tiny_channel_bound_trips_the_backpressure_instruments() {
-        // One worker, capacity-1 channel. The first envelope is a task
-        // that parks the worker on a gate; with the worker parked, at
-        // most one more envelope fits in the channel, so by the third
-        // submission `try_send` deterministically observes a full queue.
+        // One worker, capacity-1 channel, fed through the pipeline's own
+        // send path (pre-aggregated partial histograms). The first
+        // envelope is a task that parks the worker on a gate; with the
+        // worker parked, at most one more envelope fits in the channel,
+        // so by the third send `try_send` deterministically observes a
+        // full queue.
         let reg = MetricsRegistry::new();
         let agg = ShardedAggregator::for_method_obs(Method::LGrr, 4, 2.0, 1.0, 1, &reg).unwrap();
         let mut pipe = IngestPipeline::from_aggregator_obs(agg, 1, &reg);
@@ -1121,8 +1073,8 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(40));
             let _ = gate_tx.send(());
         });
-        pipe.submit(1, [0usize]).unwrap();
-        pipe.submit(2, [1usize]).unwrap();
+        pipe.submit_batch(vec![1, 0, 0, 0], 1).unwrap();
+        pipe.submit_batch(vec![0, 1, 0, 0], 1).unwrap();
         releaser.join().unwrap();
         assert_eq!(pipe.finish_round().unwrap().reports, 2);
 
@@ -1134,6 +1086,6 @@ mod tests {
             blocked
         );
         assert!(snap.hist_sum("ldp.ingest.pipeline.send_blocked_ns") > 0);
-        assert_eq!(snap.counter_total("ldp.ingest.pipeline.reports_routed"), 2);
+        assert_eq!(snap.counter_total("ldp.ingest.pipeline.batch_reports"), 2);
     }
 }

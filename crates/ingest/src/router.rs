@@ -8,9 +8,10 @@
 //! * **Stable hash**: a report carrying a routing key (user id, report
 //!   index, stream offset) always maps to `mix(key) % workers`, independent
 //!   of submission timing or the submitting thread.
-//! * **Round-robin**: keyless reports cycle through the workers in
-//!   submission order (only meaningful from a single submitting thread;
-//!   multi-threaded submitters should route by key).
+//! * **Round-robin**: keyless pre-aggregated histograms (checkpoint
+//!   restores included) cycle through the workers in submission order
+//!   (only meaningful from a single submitting thread; multi-threaded
+//!   submitters route by key).
 
 use ldp_rand::mix;
 

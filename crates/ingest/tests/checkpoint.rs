@@ -2,7 +2,7 @@
 //! finish bit-identically to an uninterrupted run, through the real file
 //! store; corrupt and foreign files must be rejected with typed errors.
 
-use ldp_ingest::{IngestPipeline, ShardStore, ShardStoreError};
+use ldp_ingest::{IngestPipeline, ShardStore, ShardStoreError, DEFAULT_BATCH_REPORTS};
 use ldp_rand::{derive_rng, uniform_u64};
 use ldp_runtime::Method;
 use proptest::prelude::*;
@@ -57,16 +57,19 @@ proptest! {
     ) {
         let mut uninterrupted =
             IngestPipeline::for_method(method, k, 2.0, 1.0, 3).expect("valid");
-        let mut before_crash =
+        let before_crash =
             IngestPipeline::for_method(method, k, 2.0, 1.0, 3).expect("valid");
         let dim = uninterrupted.dim();
         let reports = synth_reports(dim, n, seed);
         let cut = ((n as f64 * cut_frac) as usize).clamp(1, n - 1);
 
+        let mut whole = uninterrupted.handle().batching(DEFAULT_BATCH_REPORTS);
+        let mut sub = before_crash.handle().batching(DEFAULT_BATCH_REPORTS);
         for (i, support) in reports.iter().take(cut).enumerate() {
-            uninterrupted.submit(i as u64, support.iter().copied()).expect("submit");
-            before_crash.submit(i as u64, support.iter().copied()).expect("submit");
+            whole.submit(i as u64, support.iter().copied()).expect("submit");
+            sub.submit(i as u64, support.iter().copied()).expect("submit");
         }
+        sub.finish().expect("workers alive");
         let path = scratch_path();
         let store = ShardStore::new(&path);
         store.save(&before_crash.checkpoint().expect("quiesce")).expect("save");
@@ -77,10 +80,13 @@ proptest! {
         resumed.restore(&store.load().expect("load")).expect("restore");
         std::fs::remove_file(&path).ok();
 
+        let mut sub = resumed.handle().batching(DEFAULT_BATCH_REPORTS);
         for (i, support) in reports.iter().enumerate().skip(cut) {
-            uninterrupted.submit(i as u64, support.iter().copied()).expect("submit");
-            resumed.submit(i as u64, support.iter().copied()).expect("submit");
+            whole.submit(i as u64, support.iter().copied()).expect("submit");
+            sub.submit(i as u64, support.iter().copied()).expect("submit");
         }
+        whole.finish().expect("workers alive");
+        sub.finish().expect("workers alive");
         let want = uninterrupted.finish_round().expect("workers alive");
         let got = resumed.finish_round().expect("workers alive");
         prop_assert_eq!(&want.counts, &got.counts);
@@ -93,10 +99,12 @@ proptest! {
 
 #[test]
 fn corrupt_file_is_rejected_with_a_typed_error() {
-    let mut pipe = IngestPipeline::for_method(Method::BiLoloha, 10, 2.0, 1.0, 2).unwrap();
+    let pipe = IngestPipeline::for_method(Method::BiLoloha, 10, 2.0, 1.0, 2).unwrap();
+    let mut sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
     for i in 0..20u64 {
-        pipe.submit(i, [(i % 10) as usize]).unwrap();
+        sub.submit(i, [(i % 10) as usize]).unwrap();
     }
+    sub.finish().unwrap();
     let path = scratch_path();
     let store = ShardStore::new(&path);
     store.save(&pipe.checkpoint().unwrap()).unwrap();
@@ -121,8 +129,10 @@ fn old_or_foreign_files_are_rejected_not_panicked() {
     assert_eq!(store.load().err(), Some(ShardStoreError::BadMagic));
 
     // A future format version with an otherwise plausible layout.
-    let mut pipe = IngestPipeline::for_method(Method::LGrr, 6, 2.0, 1.0, 2).unwrap();
-    pipe.submit(0, [1usize]).unwrap();
+    let pipe = IngestPipeline::for_method(Method::LGrr, 6, 2.0, 1.0, 2).unwrap();
+    let mut sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
+    sub.submit(0, [1usize]).unwrap();
+    sub.finish().unwrap();
     store.save(&pipe.checkpoint().unwrap()).unwrap();
     let good = std::fs::read(&path).unwrap();
     let mut bytes = good.clone();

@@ -1,8 +1,9 @@
 //! The pipeline's determinism contract, property-tested: for every
-//! `Method` and worker count ∈ {1, 2, 4, 8}, concurrent ingestion is
-//! bit-identical to a single-threaded `ShardedAggregator` replay.
+//! `Method`, worker count ∈ {1, 2, 4, 8} and batch size, concurrent
+//! ingestion through the batched transport is bit-identical to a
+//! single-threaded `ShardedAggregator` replay.
 
-use ldp_ingest::IngestPipeline;
+use ldp_ingest::{IngestPipeline, DEFAULT_BATCH_REPORTS};
 use ldp_rand::{derive_rng, uniform_u64};
 use ldp_runtime::{AggregateSnapshot, Method, ShardedAggregator};
 use proptest::prelude::*;
@@ -63,10 +64,12 @@ proptest! {
                 .expect("valid");
             for round in 0..2u64 {
                 let reports = synth_reports(dim, n, seed ^ round);
+                let mut sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
                 for (i, support) in reports.iter().enumerate() {
                     single.push_report(0, support.iter().copied());
-                    pipe.submit(i as u64, support.iter().copied()).expect("submit");
+                    sub.submit(i as u64, support.iter().copied()).expect("submit");
                 }
+                sub.finish().expect("workers alive");
                 let want = single.finish_round();
                 let got = pipe.finish_round().expect("workers alive");
                 assert_bit_identical(
@@ -78,10 +81,10 @@ proptest! {
         }
     }
 
-    /// The batched transport is bit-identical to per-report submission for
-    /// every method, worker count, and batch size — including 1 (every
-    /// submit flushes) and sizes that do not divide the round (a partial
-    /// final batch rides the finish flush).
+    /// The batched transport is bit-identical to the single-threaded
+    /// replay for every method, worker count, and batch size — including
+    /// 1 (every submit flushes) and sizes that do not divide the round (a
+    /// partial final batch rides the finish flush).
     #[test]
     fn batched_transport_equals_per_report_for_all_methods(
         method in arb_method(),
@@ -124,25 +127,30 @@ proptest! {
         let dim = single.dim();
         let reports = synth_reports(dim, 30, seed);
         let mut pipe = IngestPipeline::for_method(method, k, 2.0, 1.0, 4).expect("valid");
+        let mut sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
         for (i, support) in reports.iter().take(15).enumerate() {
             single.push_report(0, support.iter().copied());
-            pipe.submit(i as u64, support.iter().copied()).expect("submit");
+            sub.submit(i as u64, support.iter().copied()).expect("submit");
         }
+        // The barrier sees only what the submitter has flushed.
+        sub.flush().expect("workers alive");
         let want = single.snapshot();
         let got = pipe.snapshot().expect("workers alive");
         assert_bit_identical(&want, &got, &format!("{method:?} mid-round"));
         // Ingestion continues unharmed after the snapshot.
         for (i, support) in reports.iter().enumerate().skip(15) {
             single.push_report(0, support.iter().copied());
-            pipe.submit(i as u64, support.iter().copied()).expect("submit");
+            sub.submit(i as u64, support.iter().copied()).expect("submit");
         }
+        sub.finish().expect("workers alive");
         let want = single.finish_round();
         let got = pipe.finish_round().expect("workers alive");
         assert_bit_identical(&want, &got, &format!("{method:?} full round"));
     }
 
-    /// Routing mode (stable key hash, round-robin, pre-aggregated batches)
-    /// never changes the merged result — only shard placement.
+    /// Routing mode (stable key hash for reports, round-robin for
+    /// pre-aggregated batches) never changes the merged result — only
+    /// shard placement.
     #[test]
     fn routing_mode_does_not_change_results(
         k in 6u64..16,
@@ -151,23 +159,21 @@ proptest! {
     ) {
         let method = Method::BiLoloha;
         let mut by_key = IngestPipeline::for_method(method, k, 2.0, 1.0, 3).expect("valid");
-        let mut by_order = IngestPipeline::for_method(method, k, 2.0, 1.0, 5).expect("valid");
         let mut by_batch = IngestPipeline::for_method(method, k, 2.0, 1.0, 2).expect("valid");
         let dim = by_key.dim();
         let reports = synth_reports(dim, n, seed);
         let mut batch = vec![0u64; dim];
+        let mut sub = by_key.handle().batching(DEFAULT_BATCH_REPORTS);
         for (i, support) in reports.iter().enumerate() {
-            by_key.submit(i as u64, support.iter().copied()).expect("submit");
-            by_order.submit_next(support.iter().copied()).expect("submit");
+            sub.submit(i as u64, support.iter().copied()).expect("submit");
             for &idx in support {
                 batch[idx] += 1;
             }
         }
+        sub.finish().expect("workers alive");
         by_batch.submit_batch(batch, n as u64).expect("submit");
         let a = by_key.finish_round().expect("workers alive");
-        let b = by_order.finish_round().expect("workers alive");
         let c = by_batch.finish_round().expect("workers alive");
-        assert_bit_identical(&a, &b, "key vs round-robin");
         assert_bit_identical(&a, &c, "key vs pre-aggregated batch");
     }
 }
