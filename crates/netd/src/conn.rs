@@ -6,16 +6,16 @@
 //! frames *incrementally* — a poll tick that catches a frame mid-flight
 //! parks the partial bytes and resumes on the next tick, so a slow or
 //! trickling sender can never desynchronize the stream (the soak
-//! suite's slow-reader scenario). The body buffer is bounded by
-//! [`crate::proto::MAX_FRAME_LEN`] and reused across frames, so a
-//! connection's steady-state memory is one frame regardless of how much
-//! traffic it carries.
+//! suite's slow-reader scenario). The receive and send buffers are
+//! bounded by [`crate::proto::MAX_FRAME_LEN`] and reused across frames,
+//! so a connection's steady-state memory is one frame each way
+//! regardless of how much traffic it carries.
 
 use crate::deadline::Deadline;
 use crate::error::NetError;
-use crate::proto::{decode_frame, encode_frame, write_frame, Frame, MAX_FRAME_LEN};
+use crate::proto::{decode_frame, encode_frame, put_prefixed, Frame, MAX_FRAME_LEN};
 use ldp_obs::MetricsRegistry;
-use std::io::{ErrorKind, Read};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -65,6 +65,12 @@ impl Assembler {
 pub struct Conn {
     stream: TcpStream,
     asm: Assembler,
+    /// The outgoing frame, length prefix included, reused across sends
+    /// so each frame leaves in one write.
+    tx: Vec<u8>,
+    /// The socket's read timeout as last set (`None` until the first
+    /// receive), so a receive only calls `setsockopt` when it changes.
+    read_timeout: Option<Option<Duration>>,
     fingerprint: u64,
     obs: MetricsRegistry,
 }
@@ -94,6 +100,8 @@ impl Conn {
         Self {
             stream,
             asm: Assembler::default(),
+            tx: Vec::new(),
+            read_timeout: None,
             fingerprint,
             obs: obs.clone(),
         }
@@ -109,20 +117,32 @@ impl Conn {
         self.stream.peer_addr().ok()
     }
 
-    /// Encodes and sends one frame.
+    /// Encodes and sends one frame, length prefix and body in a single
+    /// write.
     pub fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
         let body = encode_frame(frame, self.fingerprint);
-        write_frame(&mut self.stream, &body)?;
+        self.tx.clear();
+        put_prefixed(&mut self.tx, &body)?;
+        self.stream.write_all(&self.tx)?;
         self.obs.counter_labeled(FRAMES_TX, frame.kind_name()).inc();
         self.obs
             .counter_labeled(BYTES, "tx")
-            .inc_by(body.len() as u64 + 4);
+            .inc_by(self.tx.len() as u64);
+        Ok(())
+    }
+
+    /// Sets the socket's read timeout unless it already has this one.
+    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), NetError> {
+        if self.read_timeout != Some(timeout) {
+            self.stream.set_read_timeout(timeout)?;
+            self.read_timeout = Some(timeout);
+        }
         Ok(())
     }
 
     /// Blocks until a whole frame arrives (or the peer closes: `None`).
     pub fn recv(&mut self) -> Result<Option<(u64, Frame)>, NetError> {
-        self.stream.set_read_timeout(None)?;
+        self.set_read_timeout(None)?;
         match self.advance()? {
             Polled::Frame(fp, frame) => Ok(Some((fp, frame))),
             Polled::Closed => Ok(None),
@@ -136,8 +156,7 @@ impl Conn {
     /// ([`Polled::Idle`]) is always safe to retry — the stream never
     /// desynchronizes.
     pub fn poll(&mut self, tick: Duration) -> Result<Polled, NetError> {
-        self.stream
-            .set_read_timeout(Some(tick.max(Duration::from_millis(1))))?;
+        self.set_read_timeout(Some(tick.max(Duration::from_millis(1))))?;
         self.advance()
     }
 

@@ -291,11 +291,12 @@ impl ReportSink for NetSink {
         if self.batch.is_empty() {
             self.key_base = user;
         }
-        let mut indices = Vec::with_capacity(support.len());
-        for &index in support {
-            indices.push(u32::try_from(index).map_err(|_| NetError::BadBatch("index beyond u32"))?);
+        if support.iter().any(|&index| u32::try_from(index).is_err()) {
+            return Err(NetError::BadBatch("index beyond u32"));
         }
-        self.batch.push_report(indices);
+        // Every index fits u32 (checked just above), so the cast is lossless.
+        self.batch
+            .push_report(support.iter().map(|&index| index as u32));
         self.next_key = user + 1;
         Ok(())
     }

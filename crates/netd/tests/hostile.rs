@@ -14,7 +14,8 @@
 use ldp_ingest::ReportBatch;
 use ldp_netd::{
     decode_frame, encode_frame, read_frame, write_frame, Collectd, Conn, DaemonConfig, ErrorCode,
-    Frame, NetError, MAX_FRAME_LEN, MAX_WIRE_REPORTS, WIRE_MAGIC, WIRE_VERSION,
+    Frame, NetError, MAX_FRAME_LEN, MAX_WIRE_DIM, MAX_WIRE_INDICES, MAX_WIRE_REPORTS, WIRE_MAGIC,
+    WIRE_VERSION,
 };
 use ldp_obs::MetricsRegistry;
 use ldp_primitives::codec::{CodecError, CodecWriter};
@@ -25,11 +26,16 @@ use std::net::TcpStream;
 
 const FP: u64 = 0x5EED_CAFE_F00D_D00D;
 
-/// One of every frame kind, with non-trivial payloads.
+/// One of every frame kind (a submit in each layout), with non-trivial
+/// payloads.
 fn sample_frames() -> Vec<Frame> {
-    let mut batch = ReportBatch::new();
-    batch.push_report([1u32, 5, 11]);
-    batch.push_report([0u32]);
+    // Ascending supports ship as bit rows; an unsorted one as lists.
+    let mut rows = ReportBatch::new();
+    rows.push_report([1u32, 5, 11]);
+    rows.push_report([0u32]);
+    let mut lists = ReportBatch::new();
+    lists.push_report([11u32, 5, 5]);
+    lists.push_report([0u32]);
     vec![
         Frame::Hello {
             worker_id: 2,
@@ -45,7 +51,12 @@ fn sample_frames() -> Vec<Frame> {
         Frame::Submit {
             seq: 10,
             key_base: 512,
-            batch,
+            batch: rows,
+        },
+        Frame::Submit {
+            seq: 11,
+            key_base: 514,
+            batch: lists,
         },
         Frame::Ack {
             seq: 10,
@@ -152,6 +163,7 @@ fn oversized_cardinality_claims_fail_before_any_allocation() {
     w.put_u64(1);
     w.put_u64(0);
     w.put_u32(MAX_WIRE_REPORTS + 1);
+    w.put_u8(0); // lists layout
     w.put_u32(0);
     let body = w.finish();
     assert_eq!(
@@ -175,7 +187,7 @@ proptest! {
     /// walks the "almost valid" space where parsers usually break.
     #[test]
     fn mutated_valid_frames_never_panic(
-        which in 0usize..9,
+        which in 0usize..10,
         byte in 0usize..64,
         value in any::<u8>(),
     ) {
@@ -286,6 +298,7 @@ fn a_hostile_gauntlet_cannot_take_the_daemon_down() {
     w.put_u64(1);
     w.put_u64(0);
     w.put_u32(u32::MAX);
+    w.put_u8(0); // lists layout
     w.put_u32(u32::MAX);
     write_frame(&mut s, &w.finish()).unwrap();
     expect_error(&mut s, ErrorCode::OversizedBatch);
@@ -361,4 +374,128 @@ fn a_hostile_gauntlet_cannot_take_the_daemon_down() {
     let report = daemon.join().unwrap();
     assert!(!report.hard_killed);
     assert_eq!(report.rounds_finished, 1);
+}
+
+/// A hand-built rows-layout submit (layout byte 1): `report_count`
+/// rows of `words` words, the payload carrying `cells`.
+fn row_submit(fingerprint: u64, report_count: u32, words: u32, cells: &[u64]) -> Vec<u8> {
+    let mut w = CodecWriter::new(WIRE_MAGIC, WIRE_VERSION, fingerprint);
+    w.put_u8(2); // Submit
+    w.put_u64(1);
+    w.put_u64(0);
+    w.put_u32(report_count);
+    w.put_u8(1); // rows layout
+    w.put_u32(words);
+    for &cell in cells {
+        w.put_u64(cell);
+    }
+    w.finish()
+}
+
+#[test]
+fn hostile_row_frames_get_typed_errors_and_apply_nothing() {
+    let obs = MetricsRegistry::new();
+    let daemon = Collectd::start(DaemonConfig::new(Method::LGrr, 16, 2.0, 1.0), &obs).unwrap();
+
+    // Hostile row claims over a live socket: each is a typed error and a
+    // closed stream, decided before a buffer is sized from the claim
+    // (the decoder-level cases are in `proto`'s unit tests).
+    let fp = daemon.fingerprint();
+    let full_rows = MAX_WIRE_INDICES / 64 + 1; // one-word rows, all bits set
+    let mut w = CodecWriter::new(WIRE_MAGIC, WIRE_VERSION, fp);
+    w.put_u8(2); // Submit
+    w.put_u64(1);
+    w.put_u64(0);
+    w.put_u32(1);
+    w.put_u8(2); // neither lists (0) nor rows (1)
+    w.put_u32(1);
+    w.put_u64(1);
+    let unknown_layout = w.finish();
+    for (what, body, want) in [
+        ("zero width", row_submit(fp, 1, 0, &[]), ErrorCode::BadBatch),
+        (
+            "width over the cap",
+            row_submit(fp, 1, MAX_WIRE_DIM / 64 + 1, &[1]),
+            ErrorCode::OversizedBatch,
+        ),
+        (
+            "65 536 rows of 2¹⁸ words (2³⁷ bytes) in a tiny body",
+            row_submit(fp, MAX_WIRE_REPORTS, MAX_WIRE_DIM / 64, &[1, 2]),
+            ErrorCode::BadBatch,
+        ),
+        (
+            "popcount one row past MAX_WIRE_INDICES",
+            row_submit(fp, full_rows, 1, &vec![u64::MAX; full_rows as usize]),
+            ErrorCode::OversizedBatch,
+        ),
+        ("unknown layout byte", unknown_layout, ErrorCode::BadBatch),
+    ] {
+        assert!(decode_frame(&body).is_err(), "{what}");
+        let mut s = TcpStream::connect(daemon.local_addr()).unwrap();
+        write_frame(&mut s, &body).unwrap();
+        expect_error(&mut s, want);
+        let mut buf = Vec::new();
+        assert!(!read_frame(&mut s, &mut buf).unwrap(), "daemon closed");
+    }
+
+    let mut c = Conn::connect(
+        daemon.local_addr(),
+        daemon.fingerprint(),
+        &obs,
+        ldp_netd::Deadline::after(std::time::Duration::from_secs(10)),
+    )
+    .unwrap();
+    c.send(&Frame::Hello {
+        worker_id: 4,
+        k: 16,
+        dim: 16,
+        method: Method::LGrr.name().into(),
+    })
+    .unwrap();
+    assert!(matches!(
+        c.recv().unwrap().unwrap().1,
+        Frame::HelloAck { .. }
+    ));
+    // Two dense ascending reports, so the frame ships as rows; the
+    // second carries bit 16 while dim is 16.
+    let mut batch = ReportBatch::new();
+    batch.push_report(0u32..16);
+    batch.push_report([3u32, 16]);
+    let frame = Frame::Submit {
+        seq: 1,
+        key_base: 0,
+        batch,
+    };
+    let body = encode_frame(&frame, daemon.fingerprint());
+    assert_eq!(body[14 + 1 + 8 + 8 + 4], 1, "encoded as rows");
+    c.send(&frame).unwrap();
+    match c.recv().unwrap().unwrap().1 {
+        Frame::Error { code, .. } => assert_eq!(code, ErrorCode::SupportOutOfRange),
+        other => panic!("expected a support-range error, got {other:?}"),
+    }
+    // The corrected frame under the same seq is applied whole.
+    let mut batch = ReportBatch::new();
+    batch.push_report(0u32..16);
+    batch.push_report([3u32, 15]);
+    c.send(&Frame::Submit {
+        seq: 1,
+        key_base: 0,
+        batch,
+    })
+    .unwrap();
+    assert!(matches!(
+        c.recv().unwrap().unwrap().1,
+        Frame::Ack {
+            seq: 1,
+            reports: 2,
+            ..
+        }
+    ));
+    drop(c);
+
+    // The round holds the two corrected reports plus the clean one:
+    // the rejected frame's first report was never applied.
+    assert_eq!(clean_round(&daemon, &obs, 0), 3);
+    daemon.trigger_drain();
+    assert!(!daemon.join().unwrap().hard_killed);
 }
