@@ -4,9 +4,8 @@
 //!
 //! Equivalent to invoking, in order: fig1_optimal_g, fig2_variance,
 //! table1_comparison, fig3_mse, fig4_privacy_loss, table2_detection,
-//! the ablations, and finally perf_trajectory (the resumable harness
-//! writing `results/BENCH_<host>_<pr>.json`) — as separate processes so
-//! each binary stays independently runnable.
+//! and the ablations — as separate processes so each binary stays
+//! independently runnable.
 
 use std::process::Command;
 
@@ -28,7 +27,6 @@ fn main() {
         "attack_asr",
         "ablation_prr_only",
         "ablation_heavyhitters",
-        "perf_trajectory",
     ];
     let exe = std::env::current_exe().expect("current exe path");
     let dir = exe.parent().expect("exe directory");

@@ -12,8 +12,8 @@
 //!   over them, and print the per-round estimated histogram.
 //! * `asr` — print the Bayesian MAP attack-success table for a
 //!   configuration (the `ldp-attack` closed forms).
-//! * `bench` — run (or resume) a resumable harness experiment and write
-//!   the `BENCH_<host>_<pr>.json` perf trajectory (`ldp_harness`).
+//! * `bench` — run (or resume) a resumable accuracy sweep and write its
+//!   `<name>.sweep.json` results document (`ldp_harness`).
 //! * `collectd` — run the long-running TCP ingestion daemon (`ldp_netd`):
 //!   remote workers stream sanitized reports over the `LDNW` wire
 //!   protocol; drains on SIGTERM with a durable checkpoint and resumes
@@ -77,14 +77,13 @@ USAGE:
                        pipeline, --checkpoint persists + restores the
                        shard state mid-round)
   loloha-cli asr      --k K --eps-inf E --alpha A [--seed S]
-  loloha-cli bench    [--config SPEC] [--name N] [--host H] [--pr P]
-                      [--out-dir DIR] [--dataset D] [--methods M,..]
-                      [--eps E,..] [--alphas A,..] [--runs R]
-                      [--n-frac F] [--tau-frac F] [--seed S] [--threads T]
-                      [--bench-users N] [--bench-samples S]
-                      [--pair-methods] [--sweep-only] [--net-ingest]
-                      (resumable sweep + hot-path throughput; writes
-                       BENCH_<host>_<pr>.json and a per-cell checkpoint)
+  loloha-cli bench    [--config SPEC] [--name N] [--out-dir DIR]
+                      [--dataset D] [--methods M,..] [--eps E,..]
+                      [--alphas A,..] [--runs R] [--n-frac F]
+                      [--tau-frac F] [--seed S] [--threads T]
+                      [--pair-methods]
+                      (resumable accuracy sweep; writes N.sweep.json
+                       next to its per-cell checkpoint N.sweep.ckpt)
   loloha-cli collectd --method M --k K --eps-inf E [--alpha A]
                       [--addr HOST:PORT] [--addr-file PATH] [--workers N]
                       [--channel-capacity N] [--batch-reports N]

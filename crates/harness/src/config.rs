@@ -2,19 +2,17 @@
 //!
 //! A [`RunnerConfig`] pins everything a sweep depends on — dataset
 //! filter, method set, ε∞/α grids, runs, scale fractions, master seed —
-//! plus the output identity (`host`, `pr`, `out_dir`) and the throughput
-//! measurement scale. It loads from a small `key = value` spec file
-//! (`#` comments, comma-separated lists) and/or `--flag value`
-//! overrides; both funnel through [`RunnerConfig::apply`], so the CLI
-//! and the spec format can never drift apart.
+//! plus the output identity (`name`, `out_dir`). It loads from a small
+//! `key = value` spec file (`#` comments, comma-separated lists) and/or
+//! `--flag value` overrides; both funnel through [`RunnerConfig::apply`],
+//! so the CLI and the spec format can never drift apart.
 //!
 //! The sweep-relevant subset of the config is fingerprinted
 //! ([`RunnerConfig::fingerprint`]) into the `LDHS` checkpoint header:
 //! resuming under a different grid is a typed `Mismatch`, never a
-//! silently misattributed cell. `threads` and the `bench_*` knobs are
-//! deliberately outside the fingerprint — results are bit-identical
-//! across thread counts (an engine invariant), and throughput scale
-//! does not affect accuracy cells.
+//! silently misattributed cell. `threads` is deliberately outside the
+//! fingerprint — results are bit-identical across thread counts (an
+//! engine invariant).
 
 use crate::HarnessError;
 use ldp_datasets::{scaled_datasets, DatasetSpec};
@@ -25,13 +23,10 @@ use std::path::PathBuf;
 /// Everything one harness invocation depends on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunnerConfig {
-    /// Experiment name; names the checkpoint file (`<name>.sweep.ckpt`).
+    /// Experiment name; names the checkpoint (`<name>.sweep.ckpt`) and
+    /// the results document (`<name>.sweep.json`).
     pub name: String,
-    /// Host label stamped into the `BENCH_<host>_<pr>.json` filename.
-    pub host: String,
-    /// PR number stamped into the trajectory filename.
-    pub pr: u32,
-    /// Results directory (checkpoint + trajectory file).
+    /// Results directory (checkpoint + results document).
     pub out_dir: PathBuf,
     /// Restrict to one dataset by name (case-insensitive), or all four.
     pub dataset: Option<String>,
@@ -54,24 +49,12 @@ pub struct RunnerConfig {
     pub threads: usize,
     /// Common-random-numbers pairing across methods (see [`crate::cell_seed`]).
     pub pair_methods: bool,
-    /// Population size for the throughput measurements.
-    pub bench_users: usize,
-    /// Timing samples per hot path per method.
-    pub bench_samples: usize,
-    /// Also measure loopback network ingestion (`collectd` + loadgen)
-    /// per method and record the optional `net_ingest` trajectory
-    /// section. Off by default: it binds a TCP listener, which not every
-    /// bench environment allows. Outside the fingerprint, like the other
-    /// `bench_*` knobs.
-    pub net_ingest: bool,
 }
 
 impl Default for RunnerConfig {
     fn default() -> Self {
         Self {
             name: "default".to_string(),
-            host: "local".to_string(),
-            pr: 0,
             out_dir: PathBuf::from("."),
             dataset: None,
             methods: Method::paper_set().to_vec(),
@@ -83,9 +66,6 @@ impl Default for RunnerConfig {
             seed: 0x1010,
             threads: 0,
             pair_methods: false,
-            bench_users: 20_000,
-            bench_samples: 15,
-            net_ingest: false,
         }
     }
 }
@@ -142,8 +122,6 @@ impl RunnerConfig {
     pub fn apply(&mut self, key: &str, value: &str) -> Result<(), HarnessError> {
         match key {
             "name" => self.name = value.trim().to_string(),
-            "host" => self.host = value.trim().to_string(),
-            "pr" => self.pr = parse_scalar(key, value)?,
             "out_dir" => self.out_dir = PathBuf::from(value.trim()),
             "dataset" => {
                 self.dataset = match value.trim() {
@@ -160,9 +138,6 @@ impl RunnerConfig {
             "seed" => self.seed = parse_scalar(key, value)?,
             "threads" => self.threads = parse_scalar(key, value)?,
             "pair_methods" => self.pair_methods = parse_scalar(key, value)?,
-            "bench_users" => self.bench_users = parse_scalar(key, value)?,
-            "bench_samples" => self.bench_samples = parse_scalar(key, value)?,
-            "net_ingest" => self.net_ingest = parse_scalar(key, value)?,
             _ => return Err(HarnessError::Config(format!("unknown config key `{key}`"))),
         }
         Ok(())
@@ -199,12 +174,6 @@ impl RunnerConfig {
                 self.name
             ));
         }
-        if self.host.is_empty() || !filename_safe(&self.host) {
-            return err(format!(
-                "host `{}` must be non-empty [A-Za-z0-9._-]",
-                self.host
-            ));
-        }
         if self.runs == 0 {
             return err("runs must be positive".to_string());
         }
@@ -228,8 +197,19 @@ impl RunnerConfig {
         {
             return err("alphas must be non-empty, each in (0, 1)".to_string());
         }
-        if self.bench_users == 0 || self.bench_samples == 0 {
-            return err("bench_users and bench_samples must be positive".to_string());
+        // A repeated grid value (`0.5,0.50`, or two aliases of one
+        // method) would compute the same cell twice under the same seed.
+        let twice = |key: &str, value: String| -> Result<Self, HarnessError> {
+            err(format!("{key}: `{value}` is listed twice"))
+        };
+        if let Some(m) = first_repeat(&self.methods, |a, b| a == b) {
+            return twice("methods", m.name().to_string());
+        }
+        if let Some(e) = first_repeat(&self.eps_grid, |a, b| a.to_bits() == b.to_bits()) {
+            return twice("eps", e.to_string());
+        }
+        if let Some(a) = first_repeat(&self.alphas, |a, b| a.to_bits() == b.to_bits()) {
+            return twice("alphas", a.to_string());
         }
         // The dataset filter is resolved (and rejected if unknown) here
         // rather than at sweep time, so a typo fails before any work.
@@ -296,11 +276,19 @@ impl RunnerConfig {
         self.out_dir.join(format!("{}.sweep.ckpt", self.name))
     }
 
-    /// Path of the trajectory file this config writes.
-    pub fn bench_path(&self) -> PathBuf {
-        self.out_dir
-            .join(format!("BENCH_{}_{}.json", self.host, self.pr))
+    /// Path of the results document this config writes.
+    pub fn sweep_doc_path(&self) -> PathBuf {
+        self.out_dir.join(format!("{}.sweep.json", self.name))
     }
+}
+
+/// The first element equal (under `eq`) to an earlier one.
+fn first_repeat<T>(items: &[T], eq: impl Fn(&T, &T) -> bool) -> Option<&T> {
+    items
+        .iter()
+        .enumerate()
+        .find(|(i, x)| items[..*i].iter().any(|y| eq(x, y)))
+        .map(|(_, x)| x)
 }
 
 fn filename_safe(s: &str) -> bool {
@@ -324,8 +312,6 @@ mod tests {
         let cfg = RunnerConfig::from_spec(
             "# smoke spec\n\
              name = smoke\n\
-             host = ci\n\
-             pr = 7\n\
              dataset = syn   # just the synthetic workload\n\
              methods = biloloha, rappor\n\
              eps = 0.5, 2.0\n\
@@ -339,7 +325,6 @@ mod tests {
         .validated()
         .unwrap();
         assert_eq!(cfg.name, "smoke");
-        assert_eq!(cfg.pr, 7);
         assert_eq!(cfg.methods, vec![Method::BiLoloha, Method::Rappor]);
         assert_eq!(cfg.eps_grid, vec![0.5, 2.0]);
         assert!(cfg.pair_methods);
@@ -349,9 +334,9 @@ mod tests {
             "1 dataset × 2 methods × 2 ε × 1 α"
         );
         assert_eq!(
-            cfg.bench_path(),
-            PathBuf::from("./BENCH_ci_7.json"),
-            "trajectory filename carries host and pr"
+            cfg.sweep_doc_path(),
+            PathBuf::from("./smoke.sweep.json"),
+            "results document sits next to the checkpoint"
         );
     }
 
@@ -378,16 +363,27 @@ mod tests {
             ("eps", "-1"),
             ("alphas", "1.0"),
             ("alphas", "0"),
-            ("bench_samples", "0"),
             ("dataset", "nosuch"),
-            ("host", "a b"),
+            ("name", "a b"),
+            ("methods", "rappor,l-sue"),
+            ("methods", "1bitflip,1bitflippm"),
+            ("methods", "biloloha,rappor,BiLOLOHA"),
+            ("eps", "0.5,0.50"),
+            ("eps", "0.5,2.0,5e-1"),
+            ("alphas", "0.5,0.5"),
         ] {
             let mut cfg = RunnerConfig::default();
             cfg.apply(key, value).unwrap();
-            assert!(
-                cfg.validated().is_err(),
-                "{key} = {value} should fail validation"
-            );
+            match cfg.validated() {
+                Err(HarnessError::Config(msg)) => {
+                    // Range errors name the field in prose; repeats name
+                    // the key they came from.
+                    if value.contains(',') {
+                        assert!(msg.starts_with(&format!("{key}: ")), "{msg}");
+                    }
+                }
+                other => panic!("{key} = {value} should fail validation, got {other:?}"),
+            }
         }
     }
 
@@ -413,12 +409,7 @@ mod tests {
         }
         // …output identity and machine knobs do not.
         for (key, value) in [
-            ("host", "ci"),
-            ("pr", "9"),
             ("threads", "8"),
-            ("bench_users", "64"),
-            ("bench_samples", "3"),
-            ("net_ingest", "true"),
             ("name", "other"),
             ("out_dir", "/tmp/elsewhere"),
         ] {

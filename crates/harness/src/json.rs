@@ -1,7 +1,7 @@
 //! A minimal, dependency-free JSON value with a deterministic emitter.
 //!
-//! `BENCH_*.json` trajectory files are diffed in review and compared
-//! byte-for-byte by the resume tests, so the emitter must be a pure
+//! `<name>.sweep.json` results documents are diffed in review and
+//! compared byte-for-byte by the resume tests, so the emitter must be a pure
 //! function of the value: objects are ordered `Vec`s (insertion order is
 //! emission order, never a hash order), and `f64` formatting uses Rust's
 //! shortest-roundtrip `Display`. Non-finite numbers have no JSON lexeme
@@ -10,8 +10,8 @@
 //!
 //! The parser is strict recursive descent over the same subset (no
 //! comments, no trailing commas, `\uXXXX` escapes limited to the BMP) —
-//! enough to validate a checked-in trajectory file against the schema in
-//! `docs/BENCH_FORMAT.md`.
+//! enough to validate a results document on disk against the schema in
+//! `docs/SWEEP_FORMAT.md`.
 
 use std::fmt::Write as _;
 

@@ -4,9 +4,9 @@
 //! `ldp_sim` engine with **per-cell seeds derived from the full cell
 //! coordinates** ([`cell_seed`]), checkpoints progress after every cell
 //! through the `LDHS` codec container (`docs/CHECKPOINT_FORMAT.md` §8),
-//! measures the sanitize/ingest/estimate hot paths with the vendored
-//! criterion stub, and writes the machine-readable
-//! `BENCH_<host>_<pr>.json` perf-trajectory file (`docs/BENCH_FORMAT.md`).
+//! and writes the machine-readable `<name>.sweep.json` results document
+//! (`docs/SWEEP_FORMAT.md`). Throughput is measured elsewhere, by the
+//! repository benchmark (`perfbench/`).
 //!
 //! Entry point: [`ExperimentRunner::run`] over a validated
 //! [`RunnerConfig`]. A killed run resumes at the next incomplete cell
@@ -15,7 +15,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod checkpoint;
 pub mod config;
 pub mod grid;
@@ -23,14 +22,11 @@ pub mod json;
 pub mod runner;
 pub mod seed;
 
-pub use bench::{measure_method, measure_net_ingest, MethodThroughput, NetIngest, PathStats};
 pub use checkpoint::{load_progress, save_progress, CellMetrics, SweepProgress};
 pub use config::{parse_method, RunnerConfig};
 pub use grid::{run_cell, CellResult};
 pub use json::Json;
-pub use runner::{
-    validate_bench, validate_bench_str, ExperimentRunner, RunOutcome, SweepOutcome, BENCH_SCHEMA,
-};
+pub use runner::{validate_sweep, ExperimentRunner, RunOutcome, SweepOutcome, SWEEP_SCHEMA};
 pub use seed::cell_seed;
 
 use ldp_primitives::codec::CodecError;
@@ -42,9 +38,9 @@ pub enum HarnessError {
     Config(String),
     /// Checkpoint codec failure (corrupt file, foreign config, I/O).
     Codec(CodecError),
-    /// Filesystem failure outside the codec (trajectory file write).
+    /// Filesystem failure outside the codec (results document write).
     Io(String),
-    /// Trajectory document failed schema validation.
+    /// Results document failed schema validation.
     Json(String),
 }
 
@@ -54,7 +50,7 @@ impl std::fmt::Display for HarnessError {
             Self::Config(msg) => write!(f, "config error: {msg}"),
             Self::Codec(e) => write!(f, "checkpoint error: {e}"),
             Self::Io(msg) => write!(f, "io error: {msg}"),
-            Self::Json(msg) => write!(f, "trajectory schema error: {msg}"),
+            Self::Json(msg) => write!(f, "sweep document schema error: {msg}"),
         }
     }
 }

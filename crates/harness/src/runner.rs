@@ -1,10 +1,9 @@
 //! The resumable experiment runner.
 //!
 //! [`ExperimentRunner::run`] executes a [`RunnerConfig`]'s accuracy
-//! sweep (checkpointed per cell through the `LDHS` store), measures the
-//! three hot paths for every configured method, and writes the
-//! `BENCH_<host>_<pr>.json` trajectory file described normatively in
-//! `docs/BENCH_FORMAT.md`.
+//! sweep (checkpointed per cell through the `LDHS` store) and writes the
+//! `<name>.sweep.json` results document described normatively in
+//! `docs/SWEEP_FORMAT.md`, next to the `<name>.sweep.ckpt` checkpoint.
 //!
 //! Resume semantics (asserted by `tests/resume.rs`):
 //!
@@ -12,13 +11,11 @@
 //!   results **byte-identical** to an uninterrupted run (cells are
 //!   deterministic in the config, never in the interruption pattern);
 //! * re-invoking a finished run is a no-op: every cell restores from
-//!   the checkpoint, and an existing valid trajectory file is left
-//!   untouched (its wall-clock throughput numbers stay from the run
-//!   that produced it);
+//!   the checkpoint, and an existing valid results document is left
+//!   untouched;
 //! * a checkpoint written under a different sweep configuration is a
 //!   typed `Mismatch`, never silently recomputed or misread.
 
-use crate::bench::{measure_method, measure_net_ingest, MethodThroughput, NetIngest, PathStats};
 use crate::checkpoint::{load_progress, save_progress, CellMetrics, SweepProgress};
 use crate::config::RunnerConfig;
 use crate::grid::{run_cell, CellResult};
@@ -27,8 +24,11 @@ use crate::HarnessError;
 use ldp_sim::{Method, Summary};
 use std::path::PathBuf;
 
-/// Current trajectory-file schema version (`"schema"` field).
-pub const BENCH_SCHEMA: u32 = 1;
+/// Current results-document schema version (`"schema"` field).
+pub const SWEEP_SCHEMA: u32 = 2;
+
+/// The document's top-level keys, in emission order; no others are valid.
+const TOP_LEVEL_KEYS: [&str; 4] = ["schema", "suite", "config", "accuracy"];
 
 /// Outcome of the sweep stage.
 #[derive(Debug, Clone)]
@@ -46,11 +46,11 @@ pub struct SweepOutcome {
 pub struct RunOutcome {
     /// The sweep result.
     pub sweep: SweepOutcome,
-    /// Where the trajectory file lives.
-    pub bench_path: PathBuf,
-    /// Whether this invocation (re)wrote the trajectory file. `false`
+    /// Where the results document lives.
+    pub doc_path: PathBuf,
+    /// Whether this invocation (re)wrote the results document. `false`
     /// means the run was a complete no-op: sweep restored, file valid.
-    pub wrote_bench: bool,
+    pub wrote_doc: bool,
 }
 
 /// Drives one [`RunnerConfig`] end to end.
@@ -160,76 +160,39 @@ impl ExperimentRunner {
         })
     }
 
-    /// Full run: sweep (resumable), throughput, trajectory file. A rerun
-    /// over a finished sweep with a valid trajectory file on disk is a
-    /// no-op.
+    /// Full run: sweep (resumable), then the results document. A rerun
+    /// over a finished sweep with a valid document on disk is a no-op.
     pub fn run(&self) -> Result<RunOutcome, HarnessError> {
         let sweep = self.run_sweep()?;
-        let bench_path = self.cfg.bench_path();
+        let doc_path = self.cfg.sweep_doc_path();
 
         if sweep.executed == 0 {
-            if let Ok(text) = std::fs::read_to_string(&bench_path) {
-                if parse(&text).as_ref().map(validate_bench) == Ok(Ok(())) {
+            if let Ok(text) = std::fs::read_to_string(&doc_path) {
+                if parse(&text).as_ref().map(validate_sweep) == Ok(Ok(())) {
                     return Ok(RunOutcome {
                         sweep,
-                        bench_path,
-                        wrote_bench: false,
+                        doc_path,
+                        wrote_doc: false,
                     });
                 }
             }
         }
 
-        let mut throughput = Vec::with_capacity(self.cfg.methods.len());
-        for &method in &self.cfg.methods {
-            throughput.push(measure_method(
-                method,
-                self.cfg.bench_users,
-                self.cfg.bench_samples,
-                self.cfg.threads.max(1),
-                self.cfg.seed,
-            )?);
-        }
-
-        // The wire path is opt-in (`net_ingest = true`): it binds a real
-        // loopback listener per method. One full round per timing sample
-        // keeps its wall-clock comparable to the in-process paths.
-        let net = if self.cfg.net_ingest {
-            let mut rows = Vec::with_capacity(self.cfg.methods.len());
-            for &method in &self.cfg.methods {
-                rows.push(measure_net_ingest(
-                    method,
-                    self.cfg.bench_users,
-                    self.cfg.bench_samples as u64,
-                    self.cfg.threads.max(1),
-                    self.cfg.seed,
-                )?);
-            }
-            Some(rows)
-        } else {
-            None
-        };
-
-        let doc = self.bench_json(&sweep.cells, &throughput, net.as_deref());
-        validate_bench(&doc).map_err(HarnessError::Json)?;
+        let doc = self.sweep_json(&sweep.cells);
+        validate_sweep(&doc).map_err(HarnessError::Json)?;
         let text = doc.to_pretty();
-        ldp_primitives::codec::write_atomic(&bench_path, text.as_bytes())
-            .map_err(|e| HarnessError::Io(format!("{}: {e}", bench_path.display())))?;
+        ldp_primitives::codec::write_atomic(&doc_path, text.as_bytes())
+            .map_err(|e| HarnessError::Io(format!("{}: {e}", doc_path.display())))?;
         Ok(RunOutcome {
             sweep,
-            bench_path,
-            wrote_bench: true,
+            doc_path,
+            wrote_doc: true,
         })
     }
 
-    /// Builds the trajectory document (`docs/BENCH_FORMAT.md`).
-    fn bench_json(
-        &self,
-        cells: &[CellResult],
-        throughput: &[MethodThroughput],
-        net: Option<&[NetIngest]>,
-    ) -> Json {
+    /// Builds the results document (`docs/SWEEP_FORMAT.md`).
+    fn sweep_json(&self, cells: &[CellResult]) -> Json {
         let cfg = &self.cfg;
-        let hardware_threads = std::thread::available_parallelism().map_or(1, usize::from);
         let config = Json::Obj(vec![
             ("name".into(), Json::Str(cfg.name.clone())),
             (
@@ -260,101 +223,15 @@ impl ExperimentRunner {
             // is lossless.
             ("seed".into(), Json::Str(cfg.seed.to_string())),
             ("pair_methods".into(), Json::Bool(cfg.pair_methods)),
-            ("bench_users".into(), Json::Num(cfg.bench_users as f64)),
-            ("bench_samples".into(), Json::Num(cfg.bench_samples as f64)),
-            ("net_ingest".into(), Json::Bool(cfg.net_ingest)),
         ]);
-        let throughput = Json::Arr(
-            throughput
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let mut row = vec![
-                        ("method".into(), Json::Str(t.method.name().to_string())),
-                        ("sanitize".into(), path_json(&t.sanitize)),
-                        ("ingest".into(), path_json(&t.ingest)),
-                        ("ingest_noobs".into(), path_json(&t.ingest_noobs)),
-                        (
-                            "obs".into(),
-                            Json::Obj(vec![
-                                (
-                                    "reports_routed".into(),
-                                    Json::Num(t.obs.reports_routed as f64),
-                                ),
-                                ("send_blocked".into(), Json::Num(t.obs.send_blocked as f64)),
-                                (
-                                    "send_blocked_ns".into(),
-                                    Json::Num(t.obs.send_blocked_ns as f64),
-                                ),
-                                (
-                                    "batches_flushed".into(),
-                                    Json::Num(t.obs.batches_flushed as f64),
-                                ),
-                                (
-                                    "batched_reports".into(),
-                                    Json::Num(t.obs.batched_reports as f64),
-                                ),
-                                ("bufpool_hits".into(), Json::Num(t.obs.bufpool_hits as f64)),
-                                (
-                                    "bufpool_misses".into(),
-                                    Json::Num(t.obs.bufpool_misses as f64),
-                                ),
-                                ("overhead_pct".into(), Json::Num(t.obs_overhead_pct())),
-                            ]),
-                        ),
-                        ("estimate".into(), path_json(&t.estimate)),
-                    ];
-                    if let Some(n) = net.and_then(|rows| rows.get(i)) {
-                        row.push(("net_ingest".into(), net_json(n)));
-                    }
-                    Json::Obj(row)
-                })
-                .collect(),
-        );
         let accuracy = Json::Arr(cells.iter().map(cell_json).collect());
         Json::Obj(vec![
-            ("schema".into(), Json::Num(f64::from(BENCH_SCHEMA))),
+            ("schema".into(), Json::Num(f64::from(SWEEP_SCHEMA))),
             ("suite".into(), Json::Str("loloha".into())),
-            ("host".into(), Json::Str(cfg.host.clone())),
-            ("pr".into(), Json::Num(f64::from(cfg.pr))),
-            (
-                "hardware_threads".into(),
-                Json::Num(hardware_threads as f64),
-            ),
             ("config".into(), config),
-            ("throughput".into(), throughput),
             ("accuracy".into(), accuracy),
         ])
     }
-}
-
-fn net_json(n: &NetIngest) -> Json {
-    Json::Obj(vec![
-        ("users".into(), Json::Num(n.users as f64)),
-        ("rounds".into(), Json::Num(n.rounds as f64)),
-        ("frames".into(), Json::Num(n.frames as f64)),
-        ("reports".into(), Json::Num(n.reports as f64)),
-        ("retries".into(), Json::Num(n.retries as f64)),
-        ("elapsed_ns".into(), Json::Num(n.elapsed.as_nanos() as f64)),
-        ("reports_per_sec".into(), Json::Num(n.reports_per_sec)),
-    ])
-}
-
-fn path_json(p: &PathStats) -> Json {
-    let ns = |d: std::time::Duration| Json::Num(d.as_nanos() as f64);
-    Json::Obj(vec![
-        (
-            "reports_per_iter".into(),
-            Json::Num(p.reports_per_iter as f64),
-        ),
-        ("iters".into(), Json::Num(p.stats.iters as f64)),
-        ("warmup_iters".into(), Json::Num(p.warmup_iters as f64)),
-        ("min_ns".into(), ns(p.stats.min)),
-        ("median_ns".into(), ns(p.stats.median)),
-        ("mean_ns".into(), ns(p.stats.mean)),
-        ("p90_ns".into(), ns(p.stats.p90)),
-        ("reports_per_sec".into(), Json::Num(p.reports_per_sec())),
-    ])
 }
 
 fn summary_json(s: &Summary) -> (Json, Json) {
@@ -391,9 +268,9 @@ fn cell_json(c: &CellResult) -> Json {
     ])
 }
 
-/// Validates a parsed trajectory document against the normative schema
-/// (`docs/BENCH_FORMAT.md`). Returns the first violation found.
-pub fn validate_bench(doc: &Json) -> Result<(), String> {
+/// Validates a parsed results document against the normative schema
+/// (`docs/SWEEP_FORMAT.md`). Returns the first violation found.
+pub fn validate_sweep(doc: &Json) -> Result<(), String> {
     let need = |obj: &Json, key: &str| -> Result<Json, String> {
         obj.get(key)
             .cloned()
@@ -417,99 +294,29 @@ pub fn validate_bench(doc: &Json) -> Result<(), String> {
         }
     };
 
-    if need_num(doc, "schema")? != f64::from(BENCH_SCHEMA) {
-        return Err(format!("schema must be {BENCH_SCHEMA}"));
+    let keys: Vec<&str> = match doc {
+        Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        _ => return Err("document must be an object".to_string()),
+    };
+    if let Some(extra) = keys.iter().find(|k| !TOP_LEVEL_KEYS.contains(k)) {
+        return Err(format!("unknown key `{extra}`"));
+    }
+    if need_num(doc, "schema")? != f64::from(SWEEP_SCHEMA) {
+        return Err(format!("schema must be {SWEEP_SCHEMA}"));
     }
     if need(doc, "suite")?.as_str() != Some("loloha") {
         return Err("suite must be \"loloha\"".to_string());
     }
-    need_str(doc, "host")?;
-    need_num(doc, "pr")?;
-    need_num(doc, "hardware_threads")?;
 
     let config = need(doc, "config")?;
     need_str(&config, "name")?;
     need_str(&config, "seed")?;
-    for key in ["runs", "n_frac", "tau_frac", "bench_users", "bench_samples"] {
+    for key in ["runs", "n_frac", "tau_frac"] {
         need_num(&config, key)?;
     }
     for key in ["methods", "eps_grid", "alphas"] {
         if need(&config, key)?.as_arr().is_none_or(<[Json]>::is_empty) {
             return Err(format!("config.{key} must be a non-empty array"));
-        }
-    }
-
-    let throughput = need(doc, "throughput")?;
-    let rows = throughput.as_arr().ok_or("`throughput` must be an array")?;
-    if rows.is_empty() {
-        return Err("`throughput` must be non-empty".to_string());
-    }
-    for row in rows {
-        need_str(row, "method")?;
-        for path in ["sanitize", "ingest", "estimate"] {
-            let p = need(row, path)?;
-            for key in [
-                "reports_per_iter",
-                "iters",
-                "min_ns",
-                "median_ns",
-                "mean_ns",
-                "p90_ns",
-                "reports_per_sec",
-            ] {
-                need_num(&p, key).map_err(|e| format!("throughput.{path}: {e}"))?;
-            }
-            // Optional (files predating the warmup prefix stay valid),
-            // but numeric when present.
-            if let Some(w) = p.get("warmup_iters") {
-                w.as_f64()
-                    .ok_or_else(|| format!("throughput.{path}: `warmup_iters` must be a number"))?;
-            }
-        }
-        // Telemetry comparison keys are optional (files predating them
-        // stay valid) but must be well-formed when present.
-        if let Some(p) = row.get("ingest_noobs") {
-            for key in ["reports_per_iter", "iters", "mean_ns", "reports_per_sec"] {
-                need_num(p, key).map_err(|e| format!("throughput.ingest_noobs: {e}"))?;
-            }
-        }
-        // The network-ingest section is optional (only runs opted into
-        // `net_ingest = true` record it) but fully checked when present.
-        if let Some(n) = row.get("net_ingest") {
-            for key in [
-                "users",
-                "rounds",
-                "frames",
-                "reports",
-                "retries",
-                "elapsed_ns",
-                "reports_per_sec",
-            ] {
-                need_num(n, key).map_err(|e| format!("throughput.net_ingest: {e}"))?;
-            }
-        }
-        if let Some(o) = row.get("obs") {
-            for key in [
-                "reports_routed",
-                "send_blocked",
-                "send_blocked_ns",
-                "overhead_pct",
-            ] {
-                need_num(o, key).map_err(|e| format!("throughput.obs: {e}"))?;
-            }
-            // Batched-transport keys are optional (older files predate
-            // the batching transport) but numeric when present.
-            for key in [
-                "batches_flushed",
-                "batched_reports",
-                "bufpool_hits",
-                "bufpool_misses",
-            ] {
-                if let Some(v) = o.get(key) {
-                    v.as_f64()
-                        .ok_or_else(|| format!("throughput.obs: `{key}` must be a number"))?;
-                }
-            }
         }
     }
 
@@ -537,8 +344,43 @@ pub fn validate_bench(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses and validates trajectory-file text in one step (what the
-/// tier-1 schema test and the CI smoke run).
-pub fn validate_bench_str(text: &str) -> Result<(), String> {
-    validate_bench(&parse(text)?)
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const DOC: &str = r#"{
+  "schema": 2,
+  "suite": "loloha",
+  "config": {"name": "t", "seed": "1", "runs": 1, "n_frac": 0.1,
+             "tau_frac": 0.1, "methods": ["BiLOLOHA"], "eps_grid": [1],
+             "alphas": [0.5]},
+  "accuracy": [{"dataset": "Syn", "method": "BiLOLOHA", "eps_inf": 1,
+                "alpha": 0.5, "runs": 1, "mse_mean": null, "mse_std": null,
+                "eps_avg_mean": 0.5, "eps_avg_std": 0, "detection_mean": null,
+                "detection_std": null, "reduced_domain": 2}]
+}"#;
+
+    #[test]
+    fn validator_accepts_exactly_the_schema_2_document() {
+        validate_sweep(&parse(DOC).unwrap()).unwrap();
+        for (from, to, why) in [
+            ("\"schema\": 2", "\"schema\": 1", "schema must be 2"),
+            (
+                "\"suite\"",
+                "\"host\": \"ci\", \"suite\"",
+                "unknown key `host`",
+            ),
+            (
+                "\"accuracy\": [{",
+                "\"throughput\": [], \"accuracy\": [{",
+                "unknown key `throughput`",
+            ),
+            ("\"alphas\": [0.5]", "\"alphas\": []", "config.alphas"),
+            ("\"eps_avg_std\": 0", "\"eps_avg_std\": null", "eps_avg_std"),
+        ] {
+            let bad = DOC.replacen(from, to, 1);
+            let err = validate_sweep(&parse(&bad).unwrap()).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
+    }
 }

@@ -13,8 +13,6 @@ fn smoke_config(out_dir: PathBuf) -> RunnerConfig {
     let mut cfg = RunnerConfig::default();
     for (key, value) in [
         ("name", "resume-drill"),
-        ("host", "test"),
-        ("pr", "7"),
         ("dataset", "syn"),
         ("methods", "biloloha,rappor"),
         ("eps", "0.5,1.0"),
@@ -23,8 +21,6 @@ fn smoke_config(out_dir: PathBuf) -> RunnerConfig {
         ("n_frac", "0.02"),
         ("tau_frac", "0.05"),
         ("threads", "1"),
-        ("bench_users", "200"),
-        ("bench_samples", "2"),
     ] {
         cfg.apply(key, value).unwrap();
     }
@@ -100,17 +96,17 @@ fn finished_run_reinvoked_is_a_noop() {
 
     let first = runner.run().unwrap();
     assert_eq!(first.sweep.executed, 4);
-    assert!(first.wrote_bench);
-    let bench_bytes = std::fs::read(&first.bench_path).unwrap();
+    assert!(first.wrote_doc);
+    let doc_bytes = std::fs::read(&first.doc_path).unwrap();
 
     let second = runner.run().unwrap();
     assert_eq!(second.sweep.executed, 0, "no cell recomputed");
     assert_eq!(second.sweep.restored, 4);
-    assert!(!second.wrote_bench, "valid trajectory file left untouched");
+    assert!(!second.wrote_doc, "valid results document left untouched");
     assert_eq!(
-        std::fs::read(&second.bench_path).unwrap(),
-        bench_bytes,
-        "trajectory bytes unchanged by the rerun"
+        std::fs::read(&second.doc_path).unwrap(),
+        doc_bytes,
+        "results document bytes unchanged by the rerun"
     );
 
     std::fs::remove_dir_all(&dir).unwrap();

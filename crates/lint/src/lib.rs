@@ -66,6 +66,9 @@ pub fn run_check(root: &Path) -> Result<Report, LintError> {
     let snapshot = fs::read_to_string(root.join(rules::compat::PRELUDE_SNAPSHOT)).ok();
     rules::compat::c003(prelude, snapshot.as_deref(), &mut findings);
 
+    let catalog = fs::read_to_string(root.join(rules::compat::METRIC_CATALOG)).ok();
+    rules::compat::c004(&files, catalog.as_deref(), &mut findings);
+
     let mut report = apply_allows(&files, findings, &registered);
     report.files_scanned = files.len();
     report.sort();

@@ -4,7 +4,10 @@
 //! on-disk magic is registered (with its current version) in
 //! `docs/CHECKPOINT_FORMAT.md`; every writer sequence has a symmetric
 //! reader; and the `prelude` surface downstream code compiles against
-//! changes only deliberately, via the checked-in snapshot.
+//! changes only deliberately, via the checked-in snapshot. A fourth
+//! keeps the telemetry contract honest: every metric name the code
+//! registers or reads is cataloged in `docs/OBS_FORMAT.md`, and every
+//! cataloged name exists.
 
 use crate::report::{Finding, Severity};
 use crate::scan::SourceFile;
@@ -17,6 +20,8 @@ pub const REGISTRY_DOC: &str = "docs/CHECKPOINT_FORMAT.md";
 pub const PRELUDE_SNAPSHOT: &str = "docs/PRELUDE_SURFACE.txt";
 /// Path of the prelude module, relative to the scan root.
 pub const PRELUDE_SRC: &str = "src/prelude.rs";
+/// Path of the metric catalog, relative to the scan root.
+pub const METRIC_CATALOG: &str = "docs/OBS_FORMAT.md";
 
 /// One row of the registry table in `docs/CHECKPOINT_FORMAT.md`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -475,12 +480,111 @@ pub fn c003(prelude: Option<&SourceFile>, snapshot: Option<&str>, out: &mut Vec<
     }
 }
 
+// ---------------------------------------------------------------------------
+// C004: metric catalog.
+// ---------------------------------------------------------------------------
+
+/// A metric name with its `{label}` / `[index]` suffix stripped, if the
+/// text is one: `ldp.` plus at least two more dot-separated segments of
+/// `[a-z0-9_]`. The bare prefix `"ldp."` (a namespace check) is not.
+fn metric_name(text: &str) -> Option<&str> {
+    let name = text.split(['{', '[']).next().unwrap_or("");
+    let segments: Vec<&str> = name.strip_prefix("ldp.")?.split('.').collect();
+    let valid = |seg: &&str| {
+        !seg.is_empty()
+            && seg
+                .bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+    };
+    (segments.len() >= 2 && segments.iter().all(valid)).then_some(name)
+}
+
+/// Parses the catalog rows of `docs/OBS_FORMAT.md`: table rows whose
+/// first cell holds backticked metric names. A shorthand name after a
+/// ` / ` (`` `ldp.x.store.save_ns` / `load_ns` ``) replaces the last
+/// segment of the row's first name. Returns `(name, line)` pairs.
+pub fn catalog_entries(doc: &str) -> Vec<(String, u32)> {
+    let mut out = Vec::new();
+    for (idx, line) in doc.lines().enumerate() {
+        let Some(row) = line.trim().strip_prefix('|') else {
+            continue;
+        };
+        let first_cell = row.split('|').next().unwrap_or("");
+        let mut names = first_cell.split('/').map(|n| n.trim().trim_matches('`'));
+        let Some(head) = names.next().and_then(metric_name) else {
+            continue;
+        };
+        let prefix = &head[..=head.rfind('.').unwrap_or(0)];
+        let line = idx as u32 + 1;
+        out.push((head.to_string(), line));
+        for short in names {
+            let short = short.split(['{', '[']).next().unwrap_or("");
+            out.push((format!("{prefix}{short}"), line));
+        }
+    }
+    out
+}
+
+/// Every non-test `"ldp.…"` metric-name string literal: `(name, file,
+/// line)`. `#[cfg(test)]` modules are already stripped by the scanner.
+fn code_metrics(files: &[SourceFile]) -> Vec<(String, String, u32)> {
+    let mut out = Vec::new();
+    for f in files {
+        for t in &f.tokens {
+            if t.kind != TokKind::Literal {
+                continue;
+            }
+            let Some(text) = t.text.strip_prefix('"').and_then(|s| s.strip_suffix('"')) else {
+                continue;
+            };
+            if let Some(name) = metric_name(text) {
+                out.push((name.to_string(), f.rel.clone(), t.line));
+            }
+        }
+    }
+    out
+}
+
+/// C004: cross-checks metric-name literals against the catalog
+/// document. `doc` is `None` when the catalog file does not exist.
+pub fn c004(files: &[SourceFile], doc: Option<&str>, out: &mut Vec<Finding>) {
+    let metrics = code_metrics(files);
+    if metrics.is_empty() {
+        return; // no telemetry in this tree — rule does not apply
+    }
+    let catalog = doc.map(catalog_entries).unwrap_or_default();
+    let cataloged: BTreeSet<&str> = catalog.iter().map(|(n, _)| n.as_str()).collect();
+    for (name, file, line) in &metrics {
+        if !cataloged.contains(name.as_str()) {
+            out.push(Finding {
+                rule: "C004",
+                severity: Severity::Error,
+                file: file.clone(),
+                line: *line,
+                message: format!("metric `{name}` is not in the {METRIC_CATALOG} §5 catalog"),
+            });
+        }
+    }
+    let in_code: BTreeSet<&str> = metrics.iter().map(|(n, _, _)| n.as_str()).collect();
+    for (name, line) in &catalog {
+        if !in_code.contains(name.as_str()) {
+            out.push(Finding {
+                rule: "C004",
+                severity: Severity::Error,
+                file: METRIC_CATALOG.to_string(),
+                line: *line,
+                message: format!("catalog lists metric `{name}` but no scanned source names it"),
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scan::scan_source;
 
-    const RULES: &[&str] = &["C001", "C002", "C003"];
+    const RULES: &[&str] = &["C001", "C002", "C003", "C004"];
 
     #[test]
     fn registry_table_parses() {
@@ -588,5 +692,62 @@ mod tests {
         let mut out = Vec::new();
         c003(Some(&prelude), None, &mut out);
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn catalog_rows_expand_shorthand_and_strip_labels() {
+        let doc = "\
+| name | kind |\n|---|---|\n\
+| `ldp.a.store.save_ns` / `load_ns` | histogram |\n\
+| `ldp.a.pipe.routed[shard]` | counter |\n\
+| `ldp.a.pipe.bufpool{hit,miss}` | counter |\n\
+| `name` | yes |\n";
+        let names: Vec<String> = catalog_entries(doc).into_iter().map(|(n, _)| n).collect();
+        assert_eq!(
+            names,
+            [
+                "ldp.a.store.save_ns",
+                "ldp.a.store.load_ns",
+                "ldp.a.pipe.routed",
+                "ldp.a.pipe.bufpool"
+            ]
+        );
+        assert_eq!(
+            catalog_entries(doc)[1].1,
+            3,
+            "shorthand keeps its row's line"
+        );
+    }
+
+    #[test]
+    fn c004_cross_checks_both_directions() {
+        let src = "fn f() { reg.counter(\"ldp.a.pipe.routed\"); check(\"ldp.\"); }\n";
+        let files = vec![scan_source("crates/x/src/lib.rs", src, RULES)];
+        let mut out = Vec::new();
+        c004(
+            &files,
+            Some("| `ldp.a.pipe.routed[shard]` | counter |\n"),
+            &mut out,
+        );
+        assert!(out.is_empty(), "{out:?}");
+
+        let doc = "| `ldp.a.pipe.routed` | counter |\n| `ldp.a.gone.total` | gauge |\n";
+        let mut out = Vec::new();
+        c004(&files, Some(doc), &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].file, METRIC_CATALOG);
+        assert!(out[0].message.contains("ldp.a.gone.total"));
+
+        let mut out = Vec::new();
+        c004(&files, None, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].line, 1);
+
+        let test_only =
+            "#[cfg(test)]\nmod tests { fn t() { r.counter(\"ldp.test.unit.hits\"); } }\n";
+        let files = vec![scan_source("crates/x/src/lib.rs", test_only, RULES)];
+        let mut out = Vec::new();
+        c004(&files, None, &mut out);
+        assert!(out.is_empty(), "test modules are out of scope: {out:?}");
     }
 }

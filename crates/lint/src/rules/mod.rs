@@ -69,6 +69,11 @@ pub const REGISTRY: &[RuleMeta] = &[
         summary: "prelude public surface drifted from the checked-in snapshot",
     },
     RuleMeta {
+        id: "C004",
+        severity: Severity::Error,
+        summary: "metric name drifted from the OBS_FORMAT.md catalog",
+    },
+    RuleMeta {
         id: "L001",
         severity: Severity::Warn,
         summary: "unwrap/expect/panic on a decode or parse path",

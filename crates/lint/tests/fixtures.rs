@@ -118,6 +118,15 @@ fn c003_prelude_surface_drift() {
 }
 
 #[test]
+fn c004_metric_catalog_drift() {
+    assert_fires("c004_bad", "C004", Severity::Error);
+    assert_clean("c004_ok");
+    let bad = check("c004_bad");
+    let c004: Vec<_> = bad.findings.iter().filter(|f| f.rule == "C004").collect();
+    assert_eq!(c004.len(), 2, "one per direction: {c004:?}");
+}
+
+#[test]
 fn l001_panic_on_decode_path() {
     // Warn level: reported, does not fail the gate by itself. The
     // workspace self-check still requires zero findings overall.

@@ -1,9 +1,8 @@
 //! A tiny deterministic JSON value for snapshot export and validation.
 //!
-//! `ldp_harness` already has a JSON module, but the dependency arrow runs
-//! the other way (the harness records pipeline metrics, so it depends on
-//! this crate) — the telemetry layer must stay dependency-free, hence its
-//! own, even smaller, subset. Every number in an observability snapshot
+//! `ldp_harness` has a JSON module too, but the telemetry layer stays
+//! dependency-free, so it carries its own, even smaller, subset: neither
+//! crate depends on the other. Every number in an observability snapshot
 //! is an unsigned integer (counts, sums, byte totals, nanoseconds), so
 //! the value type has a `U64` variant instead of `f64` and the emitted
 //! lexeme is exact: no float formatting is involved anywhere, which is

@@ -30,7 +30,7 @@
 //! are sorted by `(name, label, index)`, numbers are unsigned integers,
 //! and the snapshot body carries no wall-clock timestamps (run metadata is
 //! caller-injected). Two identical runs export byte-identical documents —
-//! the same discipline as the `BENCH_*.json` trajectory files.
+//! the same discipline as the harness's `<name>.sweep.json` documents.
 //!
 //! ```
 //! use ldp_obs::{MetricsRegistry, Span};

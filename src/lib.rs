@@ -32,8 +32,8 @@
 //!   into the ingest pipeline, and durable client-state checkpoints for
 //!   full-collector resume.
 //! * [`harness`] — the resumable experiment runner: per-cell seeded
-//!   sweeps with `LDHS` checkpoints, hot-path throughput measurement,
-//!   and the checked-in `BENCH_<host>_<pr>.json` perf trajectory.
+//!   accuracy sweeps with `LDHS` checkpoints and a validated
+//!   `<name>.sweep.json` results document.
 //! * [`obs`] — the privacy-safe telemetry layer: atomic counters, gauges,
 //!   and histograms behind no-op-able handles, `Span` timers, and the
 //!   deterministic `OBS_FORMAT.md` snapshot exporter the collection

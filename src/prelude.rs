@@ -69,7 +69,7 @@ pub use ldp_datasets::{
 };
 pub use ldp_sim::{run_experiment, run_experiment_piped, ExperimentConfig, RunMetrics};
 
-// The resumable experiment harness (sweeps, checkpoints, perf trajectory).
+// The resumable experiment harness (accuracy sweeps, checkpoints).
 pub use ldp_harness::{cell_seed, CellResult, ExperimentRunner, RunnerConfig};
 
 // Privacy-safe telemetry: the registry the collection pipeline records
