@@ -29,6 +29,7 @@ use crate::store::{ClientCheckpoint, ClientRecord, ClientStoreError};
 use ldp_ingest::{BatchSubmitter, IngestError, IngestHandle, DEFAULT_BATCH_REPORTS};
 use ldp_obs::{Counter, Gauge, Histogram, MetricsRegistry, Span};
 use ldp_primitives::error::ParamError;
+use ldp_primitives::for_each_set_bit;
 use ldp_rand::{derive_rng2, LdpRng, Xoshiro256pp};
 use ldp_runtime::Shard;
 use std::convert::Infallible;
@@ -49,12 +50,28 @@ struct UserSlot {
 /// support sets keyed by absolute user index — routing-compatible with
 /// [`ldp_ingest::BatchSubmitter::submit`] — and flush any buffering in
 /// [`ReportSink::finish`] before the round closes.
+///
+/// A support arrives in one of two shapes: an index list
+/// ([`ReportSink::submit`]: GRR, dBitFlipPM) or a bit row
+/// ([`ReportSink::submit_row`]: UE vectors, LOLOHA preimage rows).
 pub trait ReportSink {
     /// Why a submission (or flush) failed.
     type Error: Send;
 
     /// Accepts one sanitized report's support set for `user`.
     fn submit(&mut self, user: u64, support: &[usize]) -> Result<(), Self::Error>;
+
+    /// Accepts one sanitized report for `user` as a bit row: bit `i % 64`
+    /// of `row[i / 64]` is set for each index `i` in the support.
+    ///
+    /// The default expands the row into its ascending index list and
+    /// calls [`ReportSink::submit`] — the one place a dense support turns
+    /// into indices. Sinks that can carry the row itself override it.
+    fn submit_row(&mut self, user: u64, row: &[u64]) -> Result<(), Self::Error> {
+        let mut support = Vec::new();
+        for_each_set_bit(row, |i| support.push(i));
+        self.submit(user, &support)
+    }
 
     /// Flushes anything buffered; called once per sink after its share
     /// of the round is submitted.
@@ -73,6 +90,10 @@ impl ReportSink for BatchSubmitter {
         BatchSubmitter::submit(self, user, support.iter().copied())
     }
 
+    fn submit_row(&mut self, user: u64, row: &[u64]) -> Result<(), IngestError> {
+        BatchSubmitter::submit_row(self, user, row)
+    }
+
     fn finish(&mut self) -> Result<(), IngestError> {
         self.flush()
     }
@@ -85,6 +106,11 @@ impl ReportSink for Shard {
 
     fn submit(&mut self, _user: u64, support: &[usize]) -> Result<(), Infallible> {
         self.add_report(support.iter().copied());
+        Ok(())
+    }
+
+    fn submit_row(&mut self, _user: u64, row: &[u64]) -> Result<(), Infallible> {
+        self.add_row(row);
         Ok(())
     }
 }
@@ -470,7 +496,10 @@ fn sanitize_chunk<S: ReportSink>(
     let mut report = |u: usize, value: u64| {
         let slot = &mut chunk[u - base];
         slot.state.report_into(value, &mut slot.rng, &mut buf);
-        sink.submit(u as u64, buf.support())
+        match buf.row() {
+            Some(row) => sink.submit_row(u as u64, row),
+            None => sink.submit(u as u64, buf.support()),
+        }
     };
     match share {
         Share::Dense(values) => {

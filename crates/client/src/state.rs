@@ -20,15 +20,16 @@
 
 use crate::detect::DetectionTrack;
 use crate::store::ClientStoreError;
-use ldp_hash::{CwHash, Preimages};
+use ldp_hash::{CwHash, Preimages, SeededHash};
 use ldp_longitudinal::{DBitFlipClient, LgrrClient, LongitudinalUeClient};
 use ldp_primitives::codec::CodecReader;
 use ldp_primitives::BitVec;
 use loloha::LolohaClient;
 use rand::RngCore;
 
-/// A reusable sanitization buffer: the report's support indices plus a
-/// scratch bit vector for protocols that produce unary reports.
+/// A reusable sanitization buffer: the report's support in one of two
+/// shapes — an index list, or a bit row for dense supports (UE vectors,
+/// LOLOHA preimage rows) — plus the scratch bit vector the row lives in.
 ///
 /// One buffer per worker thread serves any number of users and any
 /// protocol mix — the scratch resizes lazily to the protocol's report
@@ -37,6 +38,11 @@ use rand::RngCore;
 pub struct ReportBuf {
     pub(crate) scratch: BitVec,
     pub(crate) support: Vec<usize>,
+    /// Whether `scratch` holds the report as a bit row.
+    dense: bool,
+    /// Whether `support` holds the report's indices (always for a list
+    /// report; for a row, once [`ReportBuf::support`] expanded it).
+    listed: bool,
 }
 
 impl Default for ReportBuf {
@@ -51,22 +57,58 @@ impl ReportBuf {
         Self {
             scratch: BitVec::zeros(0),
             support: Vec::new(),
+            dense: false,
+            listed: true,
         }
     }
 
     /// The sanitized report's support indices, as written by the last
-    /// [`ClientState::report_into`] call.
-    pub fn support(&self) -> &[usize] {
+    /// [`ClientState::report_into`] call, in ascending order for a row.
+    /// A row is expanded on the first call after the report and the list
+    /// is kept until the next one; the pool's own sinks take the row
+    /// ([`ReportBuf::row`]) and never pay the expansion.
+    pub fn support(&mut self) -> &[usize] {
+        if !self.listed {
+            self.support.clear();
+            self.scratch.for_each_one(|i| self.support.push(i));
+            self.listed = true;
+        }
         &self.support
     }
 
+    /// The sanitized report as a bit row (bit `i % 64` of word `i / 64`
+    /// set ⇔ index `i` in the support), when the protocol's support is
+    /// dense; `None` for a list-shaped report.
+    pub fn row(&self) -> Option<&[u64]> {
+        self.dense.then(|| self.scratch.blocks())
+    }
+
     /// Clears the support and hands out a scratch vector of exactly
-    /// `bits` bits (reallocating only when the width changes).
+    /// `bits` bits (reallocating only when the width changes), for a
+    /// protocol that writes its report as an index list.
     pub(crate) fn reset(&mut self, bits: usize) -> &mut BitVec {
-        self.support.clear();
+        self.reset_list();
         if self.scratch.len() != bits {
             self.scratch = BitVec::zeros(bits);
         }
+        &mut self.scratch
+    }
+
+    /// Clears the support and hands it out, for a protocol that writes
+    /// its index list without scratch.
+    pub(crate) fn reset_list(&mut self) -> &mut Vec<usize> {
+        self.support.clear();
+        self.dense = false;
+        self.listed = true;
+        &mut self.support
+    }
+
+    /// [`ReportBuf::reset`] for a protocol whose report is the bit row
+    /// it writes into the returned vector.
+    pub(crate) fn reset_row(&mut self, bits: usize) -> &mut BitVec {
+        self.reset(bits);
+        self.dense = true;
+        self.listed = false;
         &mut self.scratch
     }
 }
@@ -132,12 +174,10 @@ fn read_class(
 
 impl ClientState for LongitudinalUeClient {
     fn report_into(&mut self, value: u64, rng: &mut dyn RngCore, out: &mut ReportBuf) {
+        // UE supports are dense (~k/2 set bits): the k-bit report is the
+        // row the sinks take.
         let k = self.k() as usize;
-        let scratch = out.reset(k);
-        LongitudinalUeClient::report_into(self, value, rng, scratch);
-        // UE supports are dense (~k/2 set bits): the block-level fold
-        // expands them without per-bit iterator state.
-        out.scratch.for_each_one(|i| out.support.push(i));
+        LongitudinalUeClient::report_into(self, value, rng, out.reset_row(k));
     }
 
     fn privacy_spent(&self) -> f64 {
@@ -186,8 +226,8 @@ impl ClientState for LongitudinalUeClient {
 
 impl ClientState for LgrrClient {
     fn report_into(&mut self, value: u64, rng: &mut dyn RngCore, out: &mut ReportBuf) {
-        out.support.clear();
-        out.support.push(self.report(value, rng) as usize);
+        let symbol = self.report(value, rng) as usize;
+        out.reset_list().push(symbol);
     }
 
     fn privacy_spent(&self) -> f64 {
@@ -231,27 +271,59 @@ impl ClientState for LgrrClient {
 // LOLOHA (Bi / Optimal / custom g)
 // ---------------------------------------------------------------------------
 
-/// LOLOHA client state: the protocol client plus the preimage table that
-/// expands a reported hash cell into domain support indices.
+/// LOLOHA client state: the protocol client plus what expands a
+/// reported hash cell into its domain support.
 pub struct LolohaState {
     pub(crate) client: LolohaClient<CwHash>,
-    preimages: Preimages,
+    cells: CellSupports,
+}
+
+/// The supports of the `g` hash cells over `[0, k)`: one `k`-bit row per
+/// cell when `g` rows take no more bytes than the preimage table
+/// (`g · ⌈k/64⌉ · 8 ≤ 4·k + 4·(g+1)`, always so for `g ≤ 32`), else the
+/// table, whose reports go out as index lists.
+enum CellSupports {
+    /// Words `x·words ..` hold the row of the values hashing to cell `x`.
+    Rows {
+        words: usize,
+        rows: Vec<u64>,
+    },
+    Table(Preimages),
 }
 
 impl LolohaState {
-    /// Wraps a client, building its preimage table over `[0, k)`.
+    /// Wraps a client, building its cell supports over `[0, k)`.
     pub fn new(client: LolohaClient<CwHash>) -> Self {
-        let preimages = Preimages::build(client.hash_fn(), client.k());
-        Self { client, preimages }
+        let (g, k) = (client.params().g() as usize, client.k());
+        let words = (k as usize).div_ceil(64);
+        let cells = if g * words * 8 <= 4 * k as usize + 4 * (g + 1) {
+            let hash = client.hash_fn();
+            let mut rows = vec![0u64; g * words];
+            for v in 0..k {
+                let at = hash.hash(v) as usize * words + v as usize / 64;
+                rows[at] |= 1 << (v % 64);
+            }
+            CellSupports::Rows { words, rows }
+        } else {
+            CellSupports::Table(Preimages::build(client.hash_fn(), k))
+        };
+        Self { client, cells }
     }
 }
 
 impl ClientState for LolohaState {
     fn report_into(&mut self, value: u64, rng: &mut dyn RngCore, out: &mut ReportBuf) {
-        out.support.clear();
         let cell = self.client.report(value, rng);
-        out.support
-            .extend(self.preimages.cell(cell).iter().map(|&v| v as usize));
+        match &self.cells {
+            CellSupports::Rows { words, rows } => {
+                let row = &rows[cell as usize * words..][..*words];
+                let k = self.client.k() as usize;
+                out.reset_row(k).copy_from_blocks(row);
+            }
+            CellSupports::Table(table) => out
+                .reset_list()
+                .extend(table.cell(cell).iter().map(|&v| v as usize)),
+        }
     }
 
     fn privacy_spent(&self) -> f64 {

@@ -15,8 +15,9 @@
 //!   unbounded buffering.
 //! * [`BatchSubmitter`] / [`ReportBatch`] — the one report transport,
 //!   zero-alloc in steady state: reports pack into recycled per-shard
-//!   `u32` index buffers and cross the channel one envelope per
-//!   [`DEFAULT_BATCH_REPORTS`] reports (see the [`batch`] module).
+//!   buffers — `u32` index lists, or bit rows for dense supports — and
+//!   cross the channel one envelope per [`DEFAULT_BATCH_REPORTS`]
+//!   reports (see the [`batch`] module).
 //! * [`Router`] — deterministic report → shard placement (stable key hash
 //!   for reports, round-robin for pre-aggregated histograms), so replays
 //!   fill the same shards.
@@ -44,7 +45,7 @@ pub mod pipeline;
 pub mod router;
 pub mod store;
 
-pub use batch::{ReportBatch, DEFAULT_BATCH_REPORTS};
+pub use batch::{Report, ReportBatch, DEFAULT_BATCH_REPORTS};
 pub use pipeline::{
     BatchSubmitter, IngestError, IngestHandle, IngestPipeline, ShardState, DEFAULT_CHANNEL_CAPACITY,
 };

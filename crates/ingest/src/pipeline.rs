@@ -38,7 +38,7 @@
 //! thread the submitter lives. Scoped submitter threads enforce this
 //! shape structurally.
 
-use crate::batch::{BufferPool, ReportBatch, MAX_BATCH_INDICES};
+use crate::batch::{first_bit_at_or_above, BufferPool, ReportBatch, MAX_BATCH_INDICES};
 use crate::router::Router;
 use crate::store::ShardCheckpoint;
 use ldp_obs::{Counter, Histogram, MetricsRegistry, Span};
@@ -135,8 +135,9 @@ impl Error for IngestError {}
 /// What travels to a shard worker.
 enum Envelope {
     /// A flushed [`BatchSubmitter`] accumulator: many whole reports packed
-    /// as flat `u32` indices + per-report end offsets. The worker drains
-    /// it in one slice pass and recycles the buffer through the free-list.
+    /// as flat `u32` indices + per-report end offsets, or as bit rows.
+    /// The worker drains it in one pass (a slice walk, or the bit-plane
+    /// row fold) and recycles the buffer through the free-list.
     Reports(ReportBatch),
     /// A pre-aggregated partial histogram covering `u64` reports.
     Batch(Vec<u64>, u64),
@@ -244,7 +245,10 @@ fn worker_loop(dim: usize, rx: Receiver<Envelope>, pool: BufferPool) {
     while let Ok(msg) = rx.recv() {
         match msg {
             Envelope::Reports(mut batch) => {
-                shard.add_report_batch(batch.indices(), batch.report_count() as u64);
+                match batch.row_words() {
+                    Some(words) => shard.add_rows(batch.cells(), words),
+                    None => shard.add_report_batch(batch.lists().0, batch.report_count() as u64),
+                }
                 batch.clear();
                 pool.give(batch);
             }
@@ -317,23 +321,18 @@ pub struct BatchSubmitter {
 
 impl BatchSubmitter {
     /// Packs one report's support set into the target shard's
-    /// accumulator, flushing that accumulator first if full. Only a
-    /// flush touches the channel, so this usually neither blocks nor
-    /// allocates. Rejecting an out-of-range index leaves the accumulator
-    /// exactly as it was (the partial report is rolled back).
+    /// accumulator, flushing that accumulator first if full or in the
+    /// rows layout. Only a flush touches the channel, so this usually
+    /// neither blocks nor allocates. Rejecting an out-of-range index
+    /// leaves the accumulator exactly as it was (the partial report is
+    /// rolled back).
     pub fn submit<I>(&mut self, key: u64, support: I) -> Result<(), IngestError>
     where
         I: IntoIterator<Item = usize>,
     {
         let worker = self.handle.router.route_key(key);
-        let full = self.acc[worker].as_ref().is_some_and(|b| {
-            b.report_count() >= self.capacity || b.index_count() >= MAX_BATCH_INDICES
-        });
-        if full {
-            self.flush_shard(worker)?;
-        }
         let dim = self.handle.dim;
-        let batch = self.acc[worker].get_or_insert_with(|| self.handle.pool.take());
+        let batch = self.accumulator(worker, None)?;
         let start = batch.index_count();
         for index in support {
             if index >= dim {
@@ -344,6 +343,44 @@ impl BatchSubmitter {
         }
         batch.seal_report();
         Ok(())
+    }
+
+    /// Packs one report given as a bit row (bit `i % 64` of `row[i / 64]`
+    /// set ⇔ index `i` in the support) into the target shard's
+    /// accumulator, flushing it first if full or in the lists layout.
+    /// Every set bit is checked against the dimension before anything
+    /// is copied; the first one out of range is rejected and the
+    /// accumulator is left as it was. The row is stored `⌈dim/64⌉`
+    /// words wide, whatever its own length.
+    pub fn submit_row(&mut self, key: u64, row: &[u64]) -> Result<(), IngestError> {
+        let dim = self.handle.dim;
+        if let Some(index) = first_bit_at_or_above(row, dim) {
+            return Err(IngestError::SupportOutOfRange { index, dim });
+        }
+        let worker = self.handle.router.route_key(key);
+        let words = dim.div_ceil(64).max(1);
+        self.accumulator(worker, Some(words))?
+            .push_row_padded(row, words);
+        Ok(())
+    }
+
+    /// The accumulator of `worker`, ready to take one report of the given
+    /// shape (`Some(words)` for a row): flushed first when it is full or
+    /// holds the other shape, taken from the free-list when absent.
+    fn accumulator(
+        &mut self,
+        worker: usize,
+        row_words: Option<usize>,
+    ) -> Result<&mut ReportBatch, IngestError> {
+        let flush = self.acc[worker].as_ref().is_some_and(|b| {
+            b.report_count() >= self.capacity
+                || !b.takes(row_words)
+                || (row_words.is_none() && b.index_count() >= MAX_BATCH_INDICES)
+        });
+        if flush {
+            self.flush_shard(worker)?;
+        }
+        Ok(self.acc[worker].get_or_insert_with(|| self.handle.pool.take()))
     }
 
     /// Sends every non-empty accumulator as a batch envelope, in shard
@@ -947,6 +984,58 @@ mod tests {
         let snap = pipe.finish_round().unwrap();
         assert_eq!(snap.reports, 2);
         assert_eq!(snap.counts, vec![0, 1, 0, 1]);
+    }
+
+    #[test]
+    fn row_submission_matches_lists_and_rejects_bits_past_dim() {
+        // dim 70: two-word rows whose last word is partial.
+        let dim = 70usize;
+        let supports: Vec<Vec<usize>> = (0..300usize)
+            .map(|r| (0..dim).filter(|i| (i * 7 + r * 3) % 5 < 2).collect())
+            .collect();
+        let row = |s: &[usize]| {
+            let mut row = vec![0u64; 2];
+            s.iter().for_each(|&i| row[i / 64] |= 1 << (i % 64));
+            row
+        };
+        let each: Vec<(Vec<usize>, u64)> = supports.iter().map(|s| (s.clone(), 1)).collect();
+        let reference = reference(&each, Method::LOsue, dim as u64);
+        for (batch_reports, workers) in [(1usize, 1usize), (7, 2), (256, 3)] {
+            let mut pipe =
+                IngestPipeline::for_method(Method::LOsue, dim as u64, 2.0, 1.0, workers).unwrap();
+            let mut sub = pipe.handle().batching(batch_reports);
+            for (key, s) in supports.iter().enumerate() {
+                // Alternate shapes, so accumulators switch layout.
+                match key % 3 {
+                    0 => sub.submit(key as u64, s.iter().copied()).unwrap(),
+                    1 => sub.submit_row(key as u64, &row(s)).unwrap(),
+                    _ => sub
+                        .submit_row(
+                            key as u64,
+                            &row(s)[..1 + s.iter().any(|&i| i >= 64) as usize],
+                        )
+                        .unwrap(),
+                }
+            }
+            sub.finish().unwrap();
+            assert_snap_eq(&reference, &pipe.finish_round().unwrap(), "rows");
+        }
+
+        let mut pipe = IngestPipeline::for_method(Method::LOsue, dim as u64, 2.0, 1.0, 1).unwrap();
+        let mut sub = pipe.handle().batching(16);
+        sub.submit_row(0, &[1, 0]).unwrap();
+        for (bad, index) in [(vec![1u64, 1 << 6], 70usize), (vec![0, 0, 1 << 2], 130)] {
+            assert!(matches!(
+                sub.submit_row(1, &bad).unwrap_err(),
+                IngestError::SupportOutOfRange { index: i, dim: 70 } if i == index
+            ));
+        }
+        sub.submit_row(2, &[0, 1 << 5, 0]).unwrap();
+        sub.finish().unwrap();
+        let snap = pipe.finish_round().unwrap();
+        assert_eq!(snap.reports, 2);
+        assert_eq!(snap.counts.iter().sum::<u64>(), 2);
+        assert_eq!((snap.counts[0], snap.counts[69]), (1, 1));
     }
 
     #[test]

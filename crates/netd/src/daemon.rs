@@ -43,8 +43,8 @@ use crate::error::{ErrorCode, NetError};
 use crate::proto::{config_fingerprint, Frame};
 use crate::signal;
 use crate::store::{NetCheckpoint, NetStore};
-use ldp_ingest::{BatchSubmitter, IngestHandle, IngestPipeline, DEFAULT_BATCH_REPORTS};
-use ldp_obs::{Gauge, MetricsRegistry};
+use ldp_ingest::{BatchSubmitter, IngestHandle, IngestPipeline, Report, DEFAULT_BATCH_REPORTS};
+use ldp_obs::{Gauge, Histogram, MetricsRegistry, Span};
 use ldp_runtime::{Method, ShardedAggregator};
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
@@ -159,6 +159,8 @@ struct Shared {
     connections_served: AtomicU64,
     live_conns: AtomicU64,
     conn_gauge: Gauge,
+    /// Time of each submit frame's validation and application.
+    apply_ns: Histogram,
     store: Option<NetStore>,
     fingerprint: u64,
     method: Method,
@@ -249,6 +251,7 @@ impl Collectd {
             connections_served: AtomicU64::new(0),
             live_conns: AtomicU64::new(0),
             conn_gauge: obs.gauge("ldp.netd.connections"),
+            apply_ns: obs.histogram("ldp.netd.apply_ns"),
             store,
             fingerprint,
             method: cfg.method,
@@ -537,18 +540,15 @@ fn handle_frame(
             batch,
         } => {
             let worker = session.ok_or(NetError::Protocol("submit before hello"))?;
+            let _timed = Span::enter(&shared.apply_ns);
             // Validate the whole frame before applying any of it, so a
             // rejected frame leaves no partial reports behind and the
             // session high-water stays honest.
-            for report in batch.reports() {
-                for &index in report {
-                    if index as usize >= shared.dim {
-                        return Err(NetError::SupportOutOfRange {
-                            index: index as usize,
-                            dim: shared.dim,
-                        });
-                    }
-                }
+            if let Some(index) = batch.first_out_of_range(shared.dim) {
+                return Err(NetError::SupportOutOfRange {
+                    index,
+                    dim: shared.dim,
+                });
             }
             let reports = u32::try_from(batch.report_count())
                 .map_err(|_| NetError::BadBatch("report count beyond u32"))?;
@@ -565,11 +565,14 @@ fn handle_frame(
                 } else if seq != high + 1 {
                     return Err(NetError::Protocol("submit sequence gap"));
                 } else {
-                    for (i, report) in batch.reports().enumerate() {
-                        submitter.submit(
-                            key_base + i as u64,
-                            report.iter().map(|&index| index as usize),
-                        )?;
+                    for (i, report) in batch.iter().enumerate() {
+                        let key = key_base + i as u64;
+                        match report {
+                            Report::Row(row) => submitter.submit_row(key, row)?,
+                            Report::List(list) => {
+                                submitter.submit(key, list.iter().map(|&i| i as usize))?
+                            }
+                        }
                     }
                     submitter.flush()?;
                     lock(&shared.sessions).applied.insert(worker, seq);

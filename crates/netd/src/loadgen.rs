@@ -18,7 +18,7 @@
 use crate::conn::Conn;
 use crate::deadline::Deadline;
 use crate::error::NetError;
-use crate::proto::{config_fingerprint, Frame};
+use crate::proto::{config_fingerprint, submit_len_bound, Frame, MAX_FRAME_LEN, MAX_WIRE_INDICES};
 use ldp_client::{ClientConfig, ClientPool, ReportSink};
 use ldp_ingest::ReportBatch;
 use ldp_obs::{Histogram, MetricsRegistry, Span};
@@ -142,6 +142,8 @@ pub struct NetSink {
     server_round: u64,
     frame_reports: usize,
     batch: ReportBatch,
+    /// Indices (set bits, for rows) in `batch`.
+    indices: usize,
     key_base: u64,
     next_key: u64,
     ack_wait_ns: Histogram,
@@ -194,6 +196,7 @@ impl NetSink {
             server_round,
             frame_reports: frame_reports.max(1),
             batch: ReportBatch::new(),
+            indices: 0,
             key_base: 0,
             next_key: 0,
             ack_wait_ns: obs.histogram("ldp.netd.loadgen.ack_wait_ns"),
@@ -227,20 +230,27 @@ impl NetSink {
             return Ok(());
         }
         self.seq += 1;
-        let batch = std::mem::take(&mut self.batch);
         if self.seq <= self.resume_seq {
             // The daemon already applied this frame before it restarted;
             // regeneration keeps the RNG streams and sequence numbers
             // aligned, but resending would only earn a duplicate-ack.
+            self.batch.clear();
             return Ok(());
         }
-        let reports = u32::try_from(batch.report_count())
+        let reports = u32::try_from(self.batch.report_count())
             .map_err(|_| NetError::BadBatch("report count beyond u32"))?;
-        self.conn.send(&Frame::Submit {
+        let frame = Frame::Submit {
             seq: self.seq,
             key_base: self.key_base,
-            batch,
-        })?;
+            batch: std::mem::take(&mut self.batch),
+        };
+        let sent = self.conn.send(&frame);
+        // The next frame reuses the batch's buffers.
+        if let Frame::Submit { mut batch, .. } = frame {
+            batch.clear();
+            self.batch = batch;
+        }
+        sent?;
         let _timed = Span::enter(&self.ack_wait_ns);
         match self.conn.recv()? {
             Some((_, Frame::Ack { seq, .. })) if seq == self.seq => {
@@ -277,27 +287,61 @@ impl NetSink {
             None => Err(NetError::Io("daemon closed awaiting round result".into())),
         }
     }
+
+    /// Opens room in the frame for `user`'s report of `indices` indices,
+    /// a row of `row_words` words or (`None`) a list: the open frame is
+    /// flushed first when the key does not follow on, the frame is full,
+    /// the report's shape differs, or the frame would pass
+    /// [`MAX_WIRE_INDICES`] indices or [`MAX_FRAME_LEN`] bytes with it.
+    fn make_room(
+        &mut self,
+        user: u64,
+        row_words: Option<usize>,
+        indices: usize,
+    ) -> Result<(), NetError> {
+        if !self.batch.is_empty() {
+            let reports = self.batch.report_count() + 1;
+            let total = self.indices + indices;
+            if user != self.next_key
+                || reports > self.frame_reports
+                || !self.batch.takes(row_words)
+                || total > MAX_WIRE_INDICES as usize
+                || submit_len_bound(reports, total, row_words) > MAX_FRAME_LEN as usize
+            {
+                self.flush_frame()?;
+            }
+        }
+        if self.batch.is_empty() {
+            self.key_base = user;
+            self.indices = 0;
+        }
+        self.indices += indices;
+        self.next_key = user + 1;
+        Ok(())
+    }
 }
 
 impl ReportSink for NetSink {
     type Error = NetError;
 
     fn submit(&mut self, user: u64, support: &[usize]) -> Result<(), NetError> {
-        if !self.batch.is_empty()
-            && (user != self.next_key || self.batch.report_count() >= self.frame_reports)
-        {
-            self.flush_frame()?;
-        }
-        if self.batch.is_empty() {
-            self.key_base = user;
-        }
         if support.iter().any(|&index| u32::try_from(index).is_err()) {
             return Err(NetError::BadBatch("index beyond u32"));
         }
+        self.make_room(user, None, support.len())?;
         // Every index fits u32 (checked just above), so the cast is lossless.
         self.batch
             .push_report(support.iter().map(|&index| index as u32));
-        self.next_key = user + 1;
+        Ok(())
+    }
+
+    fn submit_row(&mut self, user: u64, row: &[u64]) -> Result<(), NetError> {
+        if row.is_empty() {
+            return self.submit(user, &[]);
+        }
+        let indices = row.iter().map(|w| w.count_ones() as usize).sum();
+        self.make_room(user, Some(row.len()), indices)?;
+        self.batch.push_row(row);
         Ok(())
     }
 

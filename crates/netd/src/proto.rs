@@ -21,8 +21,9 @@
 //!
 //! A submit's supports travel as index lists or, when every report is
 //! strictly ascending and it is smaller, as one bit row per report;
-//! the encoder picks from the batch alone and the decoder
-//! rebuilds the same [`ReportBatch`] from either.
+//! the encoder picks from the batch's reports alone — the same bytes
+//! whether the batch holds lists or rows — and the decoder gives back
+//! a batch in the wire's layout, equal to the one encoded.
 //!
 //! The container fingerprint carries the [`config_fingerprint`] both
 //! sides derive from their own protocol configuration, so every frame —
@@ -31,7 +32,7 @@
 
 use crate::error::{ErrorCode, NetError};
 use ldp_ingest::ReportBatch;
-use ldp_primitives::codec::{fnv1a, CodecReader, CodecWriter};
+use ldp_primitives::codec::{fnv1a, CodecReader, CodecWriter, CHECKSUM_LEN, HEADER_LEN};
 use ldp_runtime::Method;
 use std::io::{Read, Write};
 
@@ -195,21 +196,23 @@ pub fn config_fingerprint(method: Method, k: u64, dim: u64, eps_inf: f64, eps_fi
 /// not included — [`write_frame`] adds it when the body hits a stream).
 ///
 /// A submit picks its payload layout (`docs/WIRE_FORMAT.md` §4) from
-/// the batch alone: bit rows when every report's indices are strictly
-/// ascending and the rows are smaller, index lists otherwise. Either
-/// way `decode_frame` gives back the same batch, and the body is
-/// allocated once at its exact size.
+/// the batch's reports alone: bit rows when every report's indices are
+/// strictly ascending and the rows are smaller, index lists otherwise.
+/// A rows batch writes its rows directly and a lists batch its lists,
+/// converting only when the other layout is the one chosen. Either way
+/// `decode_frame` gives back an equal batch, and the body is allocated
+/// once at its exact size.
 pub fn encode_frame(frame: &Frame, fingerprint: u64) -> Vec<u8> {
-    let (mut w, row_words) = match frame {
+    let (mut w, (row_words, indices)) = match frame {
         Frame::Submit { batch, .. } => {
-            let words = row_words(batch);
-            let payload = submit_payload_len(batch, words);
+            let layout = submit_layout(batch);
+            let payload = submit_payload_len(batch, layout.0, layout.1);
             let w = CodecWriter::with_capacity(WIRE_MAGIC, WIRE_VERSION, fingerprint, payload);
-            (w, words)
+            (w, layout)
         }
         _ => (
             CodecWriter::new(WIRE_MAGIC, WIRE_VERSION, fingerprint),
-            None,
+            (None, 0),
         ),
     };
     w.put_u8(frame.kind());
@@ -244,7 +247,7 @@ pub fn encode_frame(frame: &Frame, fingerprint: u64) -> Vec<u8> {
             w.put_u32(u32::try_from(batch.report_count()).expect("report count fits u32"));
             match row_words {
                 Some(words) => put_rows(&mut w, batch, words),
-                None => put_lists(&mut w, batch),
+                None => put_lists(&mut w, batch, indices),
             }
         }
         Frame::Ack {
@@ -385,62 +388,139 @@ const LAYOUT_ROWS: u8 = 1;
 /// report count, layout byte, and the layout's own count field.
 const SUBMIT_FIXED: usize = 8 + 8 + 4 + 1 + 4;
 
+/// An upper bound on the body length of a submit of `reports` reports
+/// holding `indices` indices in all, each report a list or (when
+/// `row_words` is given) a row of that many words. The encoder picks
+/// the smaller legal layout and never writes rows wider than the
+/// batch's, so the body is at most the smaller of the two sizes.
+pub(crate) fn submit_len_bound(reports: usize, indices: usize, row_words: Option<usize>) -> usize {
+    let lists = 4 * (reports + indices);
+    let body = row_words.map_or(lists, |words| lists.min(8 * words * reports));
+    HEADER_LEN + 1 + SUBMIT_FIXED + body + CHECKSUM_LEN
+}
+
 /// The row width in `u64` words when the rows layout is legal and
-/// smaller than the lists layout for `batch`, else `None` (lists).
+/// smaller than the lists layout for `batch`, else `None` (lists),
+/// together with the batch's total index count.
 ///
 /// Rows are legal when every report's indices are strictly ascending
 /// (so a row gives back exactly the list it came from) and the width
-/// stays within [`MAX_WIRE_DIM`].
-fn row_words(batch: &ReportBatch) -> Option<usize> {
-    let mut top = None;
-    for report in batch.reports() {
-        // A fold without early exit vectorizes: ~3× faster than `any`
-        // on dense supports.
-        let ascending = report
-            .iter()
-            .zip(report.iter().skip(1))
-            .fold(true, |ok, (a, b)| ok & (a < b));
-        if !ascending {
-            return None;
+/// stays within [`MAX_WIRE_DIM`]. The width is one word past the word
+/// holding the batch's highest index, whatever the layout the batch
+/// is held in, so a batch's bytes do not depend on how it was built.
+fn submit_layout(batch: &ReportBatch) -> (Option<usize>, usize) {
+    let (top_word, indices) = match batch.row_words() {
+        Some(words) => {
+            let mut top: Option<usize> = None;
+            let mut indices = 0usize;
+            for row in batch.cells().chunks_exact(words) {
+                for (i, &cell) in row.iter().enumerate() {
+                    indices += cell.count_ones() as usize;
+                    if cell != 0 {
+                        top = top.max(Some(i));
+                    }
+                }
+            }
+            (top, indices)
         }
-        top = top.max(report.last().copied());
-    }
-    let words = top? as usize / 64 + 1;
+        None => {
+            let mut top = None;
+            let (flat, ends) = batch.lists();
+            let mut start = 0usize;
+            for &end in ends {
+                let report = &flat[start..end as usize];
+                start = end as usize;
+                // A fold without early exit vectorizes: ~3× faster than
+                // `any` on dense supports.
+                let ascending = report
+                    .iter()
+                    .zip(report.iter().skip(1))
+                    .fold(true, |ok, (a, b)| ok & (a < b));
+                if !ascending {
+                    return (None, flat.len());
+                }
+                top = top.max(report.last().map(|&i| i as usize / 64));
+            }
+            (top, flat.len())
+        }
+    };
+    let Some(top_word) = top_word else {
+        return (None, indices);
+    };
+    let words = top_word + 1;
     let reports = batch.report_count();
-    let smaller = 8 * words * reports < 4 * (batch.index_count() + reports);
-    (smaller && words <= MAX_WIRE_DIM as usize / 64).then_some(words)
+    let smaller = 8 * words * reports < 4 * (indices + reports);
+    let words = (smaller && words <= MAX_WIRE_DIM as usize / 64).then_some(words);
+    (words, indices)
 }
 
-/// Exact payload bytes of a submit of `batch` in the layout `row_words`
-/// chose (kind byte included).
-fn submit_payload_len(batch: &ReportBatch, row_words: Option<usize>) -> usize {
+/// Exact payload bytes of a submit of `batch` in the layout
+/// `submit_layout` chose (kind byte included).
+fn submit_payload_len(batch: &ReportBatch, row_words: Option<usize>, indices: usize) -> usize {
     let body = match row_words {
         Some(words) => 8 * words * batch.report_count(),
-        None => 4 * (batch.report_count() + batch.index_count()),
+        None => 4 * (batch.report_count() + indices),
     };
     1 + SUBMIT_FIXED + body
 }
 
-/// Writes `batch` in the lists layout: `layout | index_count | ends | indices`.
-fn put_lists(w: &mut CodecWriter, batch: &ReportBatch) {
+/// Writes `batch` in the lists layout: `layout | index_count | ends |
+/// indices`. A rows batch is expanded here, in ascending order.
+fn put_lists(w: &mut CodecWriter, batch: &ReportBatch, indices: usize) {
     w.put_u8(LAYOUT_LISTS);
-    w.put_u32(u32::try_from(batch.index_count()).expect("index count fits u32"));
-    for &end in batch.ends() {
-        w.put_u32(end);
-    }
-    for &index in batch.indices() {
-        w.put_u32(index);
+    w.put_u32(u32::try_from(indices).expect("index count fits u32"));
+    match batch.row_words() {
+        None => {
+            let (flat, ends) = batch.lists();
+            for &end in ends {
+                w.put_u32(end);
+            }
+            for &index in flat {
+                w.put_u32(index);
+            }
+        }
+        Some(words) => {
+            let mut end = 0u32;
+            for row in batch.cells().chunks_exact(words) {
+                end += row.iter().map(|cell| cell.count_ones()).sum::<u32>();
+                w.put_u32(end);
+            }
+            for row in batch.cells().chunks_exact(words) {
+                let mut base = 0u32;
+                for &cell in row {
+                    let mut bits = cell;
+                    while bits != 0 {
+                        w.put_u32(base + bits.trailing_zeros());
+                        bits &= bits - 1;
+                    }
+                    base += 64;
+                }
+            }
+        }
     }
 }
 
 /// Writes `batch` in the rows layout: `layout | words | one row per
-/// report`, bit `i % 64` of word `i / 64` set for each index `i`. Each
-/// word is built in a register while walking the report's ascending
-/// indices, then written once.
+/// report`, bit `i % 64` of word `i / 64` set for each index `i`. A
+/// rows batch writes the first `words` words of each row (every word
+/// past them is zero); a lists batch builds each word in a register
+/// while walking the report's ascending indices, then writes it once.
 fn put_rows(w: &mut CodecWriter, batch: &ReportBatch, words: usize) {
     w.put_u8(LAYOUT_ROWS);
     w.put_u32(u32::try_from(words).expect("row width is capped by MAX_WIRE_DIM"));
-    for report in batch.reports() {
+    if let Some(width) = batch.row_words() {
+        for row in batch.cells().chunks_exact(width) {
+            for &cell in &row[..words] {
+                w.put_u64(cell);
+            }
+        }
+        return;
+    }
+    let (flat, ends) = batch.lists();
+    let mut start = 0usize;
+    for &end in ends {
+        let report = &flat[start..end as usize];
+        start = end as usize;
         let (mut word, mut at) = (0u64, 0usize);
         for &index in report {
             let slot = index as usize / 64;
@@ -485,10 +565,11 @@ fn decode_lists(r: &mut CodecReader<'_>, report_count: u32) -> Result<ReportBatc
     ReportBatch::from_parts(indices, ends).map_err(NetError::BadBatch)
 }
 
-/// Reads a rows-layout submit body. The width, the report count, the
-/// payload length and the total popcount are all checked before any
-/// buffer is sized; an oversized width or popcount reports the claimed
-/// bits as `indices`.
+/// Reads a rows-layout submit body into a rows batch — the rows are
+/// kept as rows, never expanded. The width, the report count, the
+/// payload length and the total popcount are all checked before the
+/// row buffer is sized; an oversized width or popcount reports the
+/// claimed bits as `indices`.
 fn decode_rows(r: &mut CodecReader<'_>, report_count: u32) -> Result<ReportBatch, NetError> {
     let words = r.get_u32()?;
     if words == 0 {
@@ -506,8 +587,8 @@ fn decode_rows(r: &mut CodecReader<'_>, report_count: u32) -> Result<ReportBatch
             "row counts disagree with payload length",
         ));
     }
-    let (cells, _) = r.take(r.remaining())?.as_chunks::<8>();
-    let popcount: u64 = cells
+    let (bytes, _) = r.take(r.remaining())?.as_chunks::<8>();
+    let popcount: u64 = bytes
         .iter()
         .map(|&cell| u64::from(u64::from_le_bytes(cell).count_ones()))
         .sum();
@@ -517,27 +598,8 @@ fn decode_rows(r: &mut CodecReader<'_>, report_count: u32) -> Result<ReportBatch
             indices: u32::try_from(popcount).unwrap_or(u32::MAX),
         });
     }
-    let mut indices = Vec::with_capacity(popcount as usize);
-    let mut ends = Vec::with_capacity(report_count as usize);
-    for row in cells.chunks_exact(words as usize) {
-        let mut base = 0u32;
-        for &cell in row {
-            let mut bits = u64::from_le_bytes(cell);
-            while bits != 0 {
-                indices.push(base + bits.trailing_zeros());
-                bits &= bits - 1;
-            }
-            base += 64;
-        }
-        ends.push(
-            u32::try_from(indices.len())
-                .map_err(|_| NetError::BadBatch("row offsets overflow u32"))?,
-        );
-    }
-    if ends.len() != report_count as usize {
-        return Err(NetError::BadBatch("row count disagrees with report count"));
-    }
-    ReportBatch::from_parts(indices, ends).map_err(NetError::BadBatch)
+    let cells = bytes.iter().map(|&cell| u64::from_le_bytes(cell)).collect();
+    ReportBatch::from_rows(words as usize, cells).map_err(NetError::BadBatch)
 }
 
 /// Writes one encoded body to a stream with its length prefix, in a
@@ -863,7 +925,7 @@ mod tests {
         // than MAX_WIRE_DIM allows, so the encoder keeps lists.
         let mut batch = ReportBatch::new();
         batch.push_report((0..600_000).chain([MAX_WIRE_DIM]));
-        assert_eq!(row_words(&batch), None);
+        assert_eq!(submit_layout(&batch).0, None);
         let frame = Frame::Submit {
             seq: 1,
             key_base: 0,
@@ -926,7 +988,7 @@ mod tests {
         w.put_u64(1);
         w.put_u64(0);
         w.put_u32(u32::try_from(users).unwrap());
-        put_lists(&mut w, &batch);
+        put_lists(&mut w, &batch, batch.index_count());
         let lists = w.finish();
         assert_eq!(decode_frame(&lists).unwrap(), (5, frame));
         assert!(
@@ -995,7 +1057,7 @@ mod tests {
             }
             let frame = Frame::Submit { seq, key_base: seq / 3, batch };
             let body = encode_frame(&frame, 11);
-            proptest::prop_assert_eq!(decode_frame(&body).unwrap(), (11, frame));
+            proptest::prop_assert_eq!(decode_frame(&body).unwrap(), (11, frame.clone()));
 
             let n = reports.len();
             let indices: usize = reports.iter().map(Vec::len).sum();
@@ -1011,6 +1073,24 @@ mod tests {
             proptest::prop_assert_eq!(body[LAYOUT_AT], layout);
             let overhead = LAYOUT_AT + 1 + 4 + ldp_primitives::codec::CHECKSUM_LEN;
             proptest::prop_assert_eq!(body.len(), overhead + rows.unwrap_or(lists));
+
+            // The same reports held as rows — as wide as the top index
+            // needs, or wider — are the same batch and the same bytes.
+            if ascending && n > 0 {
+                let top = reports.iter().flatten().max().map_or(0, |&t| t as usize);
+                let words = top / 64 + 1 + (seq % 3) as usize;
+                let mut held = ReportBatch::new();
+                for report in &reports {
+                    let mut row = vec![0u64; words];
+                    report.iter().for_each(|&i| row[i as usize / 64] |= 1 << (i % 64));
+                    held.push_row(&row);
+                }
+                let Frame::Submit { batch, .. } = &frame else { unreachable!() };
+                proptest::prop_assert_eq!(&held, batch);
+                let as_rows = Frame::Submit { seq, key_base: seq / 3, batch: held };
+                proptest::prop_assert_eq!(&encode_frame(&as_rows, 11), &body);
+                proptest::prop_assert_eq!(decode_frame(&body).unwrap(), (11, as_rows));
+            }
         }
     }
 

@@ -192,3 +192,42 @@ fn acks_are_exactly_once_and_the_connection_gauge_drains_to_zero() {
     assert!(snap.counter_total("ldp.netd.frames_rx") > 0);
     assert!(snap.counter_total("ldp.netd.frames_tx") > 0);
 }
+
+#[test]
+fn large_domain_frames_stay_under_the_wire_caps_and_fold_every_report() {
+    // L-OSUE at k = 65 536: a report supports ~17 600 indices, so 128
+    // of them would pass MAX_WIRE_INDICES. The sink must cut frames
+    // short of the caps instead of sending one the daemon rejects.
+    let (method, k, users) = (Method::LOsue, 65_536u64, 300usize);
+    let obs = MetricsRegistry::new();
+    let daemon = Collectd::start(daemon_config(method, k), &obs).unwrap();
+    let lcfg = LoadgenConfig {
+        users,
+        ..LoadgenConfig::new(daemon.local_addr(), method, k, 2.0, 1.0)
+    };
+    let report = run_loadgen(&lcfg, &obs).unwrap();
+    daemon.trigger_drain();
+    let dreport = daemon.join().unwrap();
+
+    assert_eq!(
+        report.rounds[0].reports, users as u64,
+        "every report folded"
+    );
+    assert_eq!(report.reports, users as u64);
+    assert!(
+        report.frames > users.div_ceil(lcfg.frame_reports) as u64,
+        "frames were cut short of {} reports",
+        lcfg.frame_reports
+    );
+    assert_eq!(dreport.frames_applied, report.frames);
+
+    // The same round in process gives the same estimate.
+    let cfg = ldp_client::ClientConfig::for_method(method, k, 2.0, 1.0).unwrap();
+    let mut pool = ldp_client::ClientPool::with_obs(cfg, lcfg.seed, users, &obs).unwrap();
+    let mut agg = ldp_runtime::ShardedAggregator::for_method(method, k, 2.0, 1.0, 2).unwrap();
+    let values = ldp_netd::round_values(lcfg.seed, 0, users, k);
+    pool.sanitize_round_into_shards(&values, agg.shards_mut());
+    let want = agg.finish_round();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&report.rounds[0].estimate), bits(&want.estimate));
+}

@@ -87,14 +87,8 @@ impl BitVec {
     /// shape for expanding dense unary-encoded supports into flat index
     /// buffers.
     #[inline]
-    pub fn for_each_one<F: FnMut(usize)>(&self, mut f: F) {
-        for (block_idx, &block) in self.blocks.iter().enumerate() {
-            let mut current = block;
-            while current != 0 {
-                f(block_idx * 64 + current.trailing_zeros() as usize);
-                current &= current - 1; // clear lowest set bit
-            }
-        }
+    pub fn for_each_one<F: FnMut(usize)>(&self, f: F) {
+        for_each_set_bit(&self.blocks, f);
     }
 
     /// Resets all bits to zero, keeping the allocation.
@@ -152,6 +146,21 @@ impl BitVec {
     /// The underlying blocks (low bit of block 0 is bit 0).
     pub fn blocks(&self) -> &[u64] {
         &self.blocks
+    }
+}
+
+/// Calls `f` with the index of every set bit of a bit row, in increasing
+/// order: bit `i % 64` of `words[i / 64]` stands for index `i`. One
+/// block per loop, no iterator state — the shape every dense support
+/// (a unary report, a LOLOHA preimage row) expands through.
+#[inline]
+pub fn for_each_set_bit<F: FnMut(usize)>(words: &[u64], mut f: F) {
+    for (block_idx, &block) in words.iter().enumerate() {
+        let mut current = block;
+        while current != 0 {
+            f(block_idx * 64 + current.trailing_zeros() as usize);
+            current &= current - 1; // clear lowest set bit
+        }
     }
 }
 

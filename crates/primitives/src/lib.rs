@@ -48,7 +48,7 @@ pub mod lh;
 pub mod params;
 pub mod ue;
 
-pub use bitvec::BitVec;
+pub use bitvec::{for_each_set_bit, BitVec};
 pub use codec::{CodecError, CodecReader, CodecWriter};
 pub use error::ParamError;
 pub use grr::Grr;

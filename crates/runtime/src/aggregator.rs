@@ -24,7 +24,12 @@ use ldp_longitudinal::chain::ue_chain_params;
 use ldp_longitudinal::{DBitFlipServer, LgrrServer, LueServer};
 use ldp_obs::{Counter, Gauge, Histogram, MetricsRegistry, Span};
 use ldp_primitives::error::ParamError;
+use ldp_primitives::for_each_set_bit;
 use loloha::{LolohaParams, LolohaServer};
+
+/// Most carry-save bit planes [`Shard::add_rows`] keeps per word: the
+/// planes count up to `2^MAX_PLANES − 1` rows between spills.
+const MAX_PLANES: u32 = 8;
 
 /// Aggregator-side telemetry handles (`ldp.runtime.aggregator.*`). Only
 /// operational quantities flow through these: stage durations, the merged
@@ -75,6 +80,20 @@ impl Estimator {
             Estimator::Loloha(s) => s.estimate_and_reset(),
             Estimator::DBit(s) => s.estimate_and_reset(),
         }
+    }
+}
+
+/// Adds `carry` into the bit-plane counter `planes` (plane `p` holds bit
+/// `p` of 64 lanes), stopping once no lane carries.
+#[inline]
+fn ripple(planes: &mut [u64], mut carry: u64) {
+    for plane in planes {
+        if carry == 0 {
+            break;
+        }
+        let next = *plane & carry;
+        *plane ^= carry;
+        carry = next;
     }
 }
 
@@ -130,6 +149,86 @@ impl Shard {
             self.counts[i as usize] += 1;
         }
         self.reports += reports;
+    }
+
+    /// Folds one report given as a bit row: bit `i % 64` of `row[i / 64]`
+    /// set means index `i` is in the support. One set-bit walk.
+    ///
+    /// # Panics
+    /// Panics if a set bit is outside the aggregation dimension.
+    pub fn add_row(&mut self, row: &[u64]) {
+        let counts = &mut self.counts;
+        for_each_set_bit(row, |i| counts[i] += 1);
+        self.reports += 1;
+    }
+
+    /// Folds a batch of bit rows in: `rows` is the concatenation of
+    /// `rows.len() / words` reports, each `words` words wide, every set
+    /// bit already validated against the aggregation dimension.
+    ///
+    /// Rows are added into carry-save bit planes — plane `p` holds bit
+    /// `p` of a per-index counter, and rows go in two at a time through
+    /// a full adder, so a row costs a few `and`/`xor` per word instead
+    /// of one increment per set bit — and the planes spill into the
+    /// `u64` counts before they can overflow and before this returns.
+    /// `P` planes count up to `2^P − 1` rows; `P` is the bit length of
+    /// the batch's row count, capped at 8 (longer batches spill every
+    /// 255 rows). A single row takes the set-bit walk of
+    /// [`Self::add_row`]. The counts are the same sums either way.
+    ///
+    /// # Panics
+    /// Panics if `words` is 0 or does not divide `rows.len()`, or if a
+    /// set bit is outside the aggregation dimension.
+    pub fn add_rows(&mut self, rows: &[u64], words: usize) {
+        assert!(
+            words > 0 && rows.len().is_multiple_of(words),
+            "rows must be whole {words}-word rows"
+        );
+        let n = rows.len() / words;
+        if n == 1 {
+            self.add_row(rows);
+            return;
+        }
+        let chunk = (1usize << MAX_PLANES) - 1;
+        let planes = (usize::BITS - n.min(chunk).leading_zeros()) as usize;
+        // Word-major: the planes of word `w` are `acc[w * planes ..][..planes]`.
+        let mut acc = vec![0u64; words * planes];
+        for rows in rows.chunks(chunk * words) {
+            let mut pairs = rows.chunks_exact(2 * words);
+            for pair in &mut pairs {
+                let (a, b) = pair.split_at(words);
+                for ((stack, &a), &b) in acc.chunks_exact_mut(planes).zip(a).zip(b) {
+                    // A full adder takes both rows into plane 0; its
+                    // carry has weight 2 and ripples up from plane 1.
+                    let (low, high) = stack.split_at_mut(1);
+                    let half = low[0] ^ a;
+                    let carry = (low[0] & a) | (half & b);
+                    low[0] = half ^ b;
+                    ripple(high, carry);
+                }
+            }
+            for row in pairs.remainder().chunks_exact(words) {
+                for (stack, &bits) in acc.chunks_exact_mut(planes).zip(row) {
+                    ripple(stack, bits);
+                }
+            }
+            self.spill(&mut acc, planes);
+        }
+        self.reports += n as u64;
+    }
+
+    /// Adds the bit-plane counters in `acc` (word-major, `planes` per
+    /// word) into the counts and zeroes them.
+    fn spill(&mut self, acc: &mut [u64], planes: usize) {
+        for (w, stack) in acc.chunks_exact_mut(planes).enumerate() {
+            for (p, plane) in stack.iter_mut().enumerate() {
+                let counts = &mut self.counts;
+                for_each_set_bit(std::slice::from_ref(plane), |b| {
+                    counts[w * 64 + b] += 1 << p;
+                });
+                *plane = 0;
+            }
+        }
     }
 
     /// Folds a pre-aggregated batch of `reports` reports into this shard.

@@ -3,7 +3,7 @@
 //! many shards it is spread over, for every protocol the runtime serves.
 
 use ldp_rand::{derive_rng, uniform_u64};
-use ldp_runtime::{Method, ShardedAggregator};
+use ldp_runtime::{Method, Shard, ShardedAggregator};
 use proptest::prelude::*;
 
 fn arb_method() -> impl Strategy<Value = Method> {
@@ -129,5 +129,68 @@ proptest! {
         for (a, b) in full.estimate.iter().zip(&expected.estimate) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// The bit-plane row fold gives exactly the counts of folding every
+    /// set bit as an index: widths with and without a partial last word,
+    /// batch sizes on each side of the plane-count steps (2^P − 1, 2^P,
+    /// 2^P + 1) and past the 255-row spill, rows of any density, folded
+    /// on top of counts already in the shard.
+    #[test]
+    fn row_fold_equals_index_fold(
+        width in prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(1412)],
+        rows in prop_oneof![
+            Just(1usize), Just(2), Just(3), Just(127), Just(128), Just(129),
+            Just(255), Just(256), Just(257), Just(600),
+        ],
+        density in 0.0f64..=1.0,
+        seed in any::<u64>(),
+    ) {
+        let words = width.div_ceil(64);
+        let mut rng = derive_rng(seed, 0xB175);
+        // A quarter of the cases fold all-ones rows: every counter then
+        // reaches the row count, the most a spill must hold.
+        let threshold = if seed % 4 == 0 { u64::MAX } else { (density * u64::MAX as f64) as u64 };
+        let mut cells = vec![0u64; rows * words];
+        for row in cells.chunks_exact_mut(words) {
+            for i in 0..width {
+                if uniform_u64(&mut rng, u64::MAX) < threshold {
+                    row[i / 64] |= 1 << (i % 64);
+                }
+            }
+        }
+        let indices: Vec<u32> = cells
+            .chunks_exact(words)
+            .flat_map(|row| (0..width).filter(move |&i| row[i / 64] >> (i % 64) & 1 == 1))
+            .map(|i| i as u32)
+            .collect();
+        let prior: Vec<usize> = (0..width).filter(|i| i % 3 == 0).collect();
+
+        let mut by_index = Shard::with_dim(width);
+        by_index.add_report(prior.iter().copied());
+        by_index.add_report_batch(&indices, rows as u64);
+        let mut by_row = Shard::with_dim(width);
+        by_row.add_report(prior.iter().copied());
+        by_row.add_rows(&cells, words);
+        prop_assert_eq!(&by_row, &by_index);
+        prop_assert_eq!(by_row.reports(), rows as u64 + 1);
+
+        // The same rows one at a time, and split at an arbitrary row.
+        let mut single = Shard::with_dim(width);
+        single.add_report(prior.iter().copied());
+        for row in cells.chunks_exact(words) {
+            single.add_row(row);
+        }
+        prop_assert_eq!(&single, &by_index);
+        let cut = uniform_u64(&mut rng, rows as u64 + 1) as usize * words;
+        let mut split = Shard::with_dim(width);
+        split.add_report(prior.iter().copied());
+        if cut > 0 {
+            split.add_rows(&cells[..cut], words);
+        }
+        if cut < cells.len() {
+            split.add_rows(&cells[cut..], words);
+        }
+        prop_assert_eq!(&split, &by_index);
     }
 }
