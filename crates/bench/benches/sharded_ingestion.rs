@@ -10,10 +10,16 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ldp_hash::{CarterWegman, CwHash, Preimages};
 use ldp_ingest::IngestPipeline;
+use ldp_obs::MetricsRegistry;
 use ldp_rand::{derive_rng, uniform_u64};
 use ldp_runtime::{Method, ShardedAggregator};
 use loloha::{LolohaParams, LolohaServer};
 use std::hint::black_box;
+
+/// A telemetry registry that records nothing.
+fn off() -> MetricsRegistry {
+    MetricsRegistry::disabled()
+}
 
 /// Paper-scale Syn round: k = 360, n = 10 000.
 const K: u64 = 360;
@@ -68,15 +74,16 @@ fn bench_ingestion(c: &mut Criterion) {
 
     for shards in [1usize, 4, 8] {
         group.bench_function(format!("sharded_one_shot_{shards}_shards"), |b| {
-            let mut agg = ShardedAggregator::for_method(Method::BiLoloha, K, 1.0, 0.5, shards)
-                .expect("valid");
+            let mut agg =
+                ShardedAggregator::for_method_obs(Method::BiLoloha, K, 1.0, 0.5, shards, &off())
+                    .expect("valid");
             b.iter(|| black_box(agg.one_shot(black_box(&batch_refs))));
         });
     }
 
     group.bench_function("streaming_snapshot_mid_round", |b| {
-        let mut agg =
-            ShardedAggregator::for_method(Method::BiLoloha, K, 1.0, 0.5, 8).expect("valid");
+        let mut agg = ShardedAggregator::for_method_obs(Method::BiLoloha, K, 1.0, 0.5, 8, &off())
+            .expect("valid");
         agg.begin_round();
         for (i, &(counts, reports)) in batch_refs.iter().enumerate() {
             agg.push_batch(i % 8, counts, reports);
@@ -127,7 +134,7 @@ fn bench_concurrent_fill(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function("single_thread_baseline", |b| {
-        let mut agg = ShardedAggregator::for_loloha(K, params, 1).expect("valid");
+        let mut agg = ShardedAggregator::for_loloha_obs(K, params, 1, &off()).expect("valid");
         b.iter(|| {
             for (hash, cell) in &reports {
                 let pre = Preimages::build(hash, K);
@@ -139,7 +146,8 @@ fn bench_concurrent_fill(c: &mut Criterion) {
 
     for workers in [1usize, 2, 4, 8] {
         group.bench_function(format!("pipeline_{workers}_workers"), |b| {
-            let mut pipe = IngestPipeline::for_loloha(K, params, workers).expect("valid");
+            let mut pipe =
+                IngestPipeline::for_loloha_obs(K, params, workers, &off()).expect("valid");
             b.iter(|| {
                 for (i, envelope) in envelopes.iter().enumerate() {
                     let batch = envelope.clone();
@@ -184,8 +192,8 @@ fn bench_sanitize_and_ingest(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function("single_thread_baseline", |b| {
-        let mut pool = ClientPool::new(cfg, 11, n).expect("valid");
-        let mut agg = ShardedAggregator::for_loloha(K, params, 1).expect("valid");
+        let mut pool = ClientPool::with_obs(cfg, 11, n, &off()).expect("valid");
+        let mut agg = ShardedAggregator::for_loloha_obs(K, params, 1, &off()).expect("valid");
         b.iter(|| {
             pool.sanitize_round_into_shards(black_box(&values), agg.shards_mut());
             black_box(agg.finish_round())
@@ -194,8 +202,9 @@ fn bench_sanitize_and_ingest(c: &mut Criterion) {
 
     for workers in [1usize, 2, 4, 8] {
         group.bench_function(format!("pool_pipeline_{workers}_workers"), |b| {
-            let mut pool = ClientPool::new(cfg, 11, n).expect("valid");
-            let mut pipe = IngestPipeline::for_loloha(K, params, workers).expect("valid");
+            let mut pool = ClientPool::with_obs(cfg, 11, n, &off()).expect("valid");
+            let mut pipe =
+                IngestPipeline::for_loloha_obs(K, params, workers, &off()).expect("valid");
             b.iter(|| {
                 let handle = pipe.handle();
                 pool.sanitize_round(black_box(&values), workers, &handle)
@@ -217,7 +226,6 @@ fn bench_sanitize_and_ingest(c: &mut Criterion) {
 /// whole cost of leaving instrumentation compiled in and switched on.
 fn bench_telemetry_overhead(c: &mut Criterion) {
     use ldp_client::{ClientConfig, ClientPool};
-    use ldp_obs::MetricsRegistry;
 
     const WORKERS: usize = 2;
     let params = LolohaParams::bi(1.0, 0.5).expect("valid budgets");

@@ -13,10 +13,14 @@
 //! each), and the server aggregates the sanitized reports — so its output
 //! demonstrates what the server would learn, never the raw histogram.
 //!
-//! Scaling and durability flags: `--shards N` spreads the in-process
-//! aggregator over N shards; `--workers N` collects through the
-//! concurrent `ldp_ingest` worker pipeline *and* sanitizes with N client
-//! worker threads; `--checkpoint PATH` persists the shard state mid-round
+//! Every round is one sanitize pass of the pool over that round's
+//! `(user, value)` assignments (two when a checkpoint drill splits it
+//! at its midpoint). Scaling and durability flags: `--shards
+//! N` spreads the in-process aggregator over N shards, and the pass over
+//! N client threads, each filling its own shard from a contiguous range
+//! of users; `--workers N` collects through the concurrent `ldp_ingest`
+//! worker pipeline *and* sanitizes with N client worker threads;
+//! `--checkpoint PATH` persists the shard state mid-round
 //! and resumes from the file; `--client-checkpoint PATH` does the same
 //! for the client pool (memo tables + RNG stream positions), so the pair
 //! simulates a full-collector restart. `--client-checkpoint-chunk N`
@@ -30,7 +34,8 @@
 //!
 //! `--metrics PATH` turns on the `ldp_obs` telemetry layer for the run: a
 //! fresh (run-local) registry is threaded through the client pool, the
-//! collector, and both checkpoint stores, and after every finished round
+//! collector, and both checkpoint stores (without the flag they all get
+//! a disabled one), and after every finished round
 //! the cumulative snapshot is atomically rewritten at PATH in the
 //! [OBS_FORMAT.md](../../../docs/OBS_FORMAT.md) JSON schema. The snapshot
 //! carries only operational aggregates (counts, byte totals, duration
@@ -39,7 +44,7 @@
 
 use crate::args::Flags;
 use crate::CliError;
-use ldp_client::{ClientConfig, ClientPool, ClientStore, ReportBuf};
+use ldp_client::{ClientConfig, ClientPool, ClientStore};
 use ldp_ingest::{IngestPipeline, ShardStore};
 use ldp_obs::MetricsRegistry;
 use ldp_primitives::codec;
@@ -55,14 +60,14 @@ use std::path::Path;
 /// the aggregation runtime's merge is order-independent — so the flag only
 /// changes the collection topology, never the estimates.
 enum Collector {
-    Direct { agg: ShardedAggregator, shards: u64 },
+    Direct(ShardedAggregator),
     Piped(IngestPipeline),
 }
 
 impl Collector {
     fn finish_round(&mut self) -> Result<Vec<f64>, CliError> {
         match self {
-            Collector::Direct { agg, .. } => Ok(agg.finish_round().estimate),
+            Collector::Direct(agg) => Ok(agg.finish_round().estimate),
             Collector::Piped(pipe) => Ok(pipe.finish_round().map_err(CliError::new)?.estimate),
         }
     }
@@ -169,13 +174,12 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
             "--client-checkpoint-chunk must be at least 1 (a segment holds at least one user)",
         ));
     }
-    let client_store = flags.optional("client-checkpoint").map(|p| {
-        match client_chunk {
-            Some(c) => ClientStore::chunked(p, c as usize),
-            None => ClientStore::new(p),
-        }
-        .with_obs(&reg)
-    });
+    let client_store = flags
+        .optional("client-checkpoint")
+        .map(|p| match client_chunk {
+            Some(c) => ClientStore::chunked(p, c as usize, &reg),
+            None => ClientStore::new(p, &reg),
+        });
     if client_chunk.is_some() && client_store.is_none() {
         return Err(CliError::new(
             "--client-checkpoint-chunk requires --client-checkpoint PATH",
@@ -229,14 +233,14 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
         ClientPool::with_obs(ClientConfig::for_loloha(k, params), seed, index.len(), &reg)
             .map_err(CliError::new)?;
 
-    // The server side: by default the shared sharded aggregator (each
-    // user's report lands in the shard `user % shards`); with `--workers`
-    // (or `--checkpoint`) the concurrent ingest pipeline, routing by a
-    // stable hash of the user's dense pool index (the routing key for a
-    // given user therefore depends on which other users appear in the
-    // input, not just their id). The merge is an order-independent sum,
-    // so the estimates are deterministic and placement-independent
-    // either way.
+    // The server side: by default the shared sharded aggregator (the
+    // pool's dense user-index range splits into one contiguous chunk per
+    // shard, each sanitized on its own thread); with `--workers` (or
+    // `--checkpoint`) the concurrent ingest pipeline, routing by a stable
+    // hash of the user's dense pool index (the routing key for a given
+    // user therefore depends on which other users appear in the input,
+    // not just their id). The merge is an order-independent sum, so the
+    // estimates are deterministic and placement-independent either way.
     let piped_workers = workers.unwrap_or(1).max(1) as usize;
     let mut collector = if workers.is_some() || store.is_some() {
         Collector::Piped(
@@ -244,11 +248,10 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
                 .map_err(CliError::new)?,
         )
     } else {
-        Collector::Direct {
-            agg: ShardedAggregator::for_loloha_obs(k, params, shards as usize, &reg)
+        Collector::Direct(
+            ShardedAggregator::for_loloha_obs(k, params, shards as usize, &reg)
                 .map_err(CliError::new)?,
-            shards,
-        }
+        )
     };
 
     let mut out = format!(
@@ -264,9 +267,8 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
     let mut seg_written = 0usize;
     let mut seg_possible = 0usize;
     for (round, entries) in &rounds {
-        // Entries mapped to pool indices; dense index is the ingest
-        // routing key, the raw user id keeps the direct path's shard
-        // placement.
+        // Entries mapped to dense pool indices: the ingest routing key
+        // and the direct path's shard placement.
         let assignments: Vec<(usize, u64)> = entries.iter().map(|&(u, v)| (index[&u], v)).collect();
         // With a durability drill pending, split the round at its
         // midpoint: sanitize the first half, persist + restore (a
@@ -283,15 +285,10 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
                 continue;
             }
             match &mut collector {
-                Collector::Direct { agg, shards } => {
-                    let mut buf = ReportBuf::new();
-                    for i in range.clone() {
-                        let (idx, value) = assignments[i];
-                        let (user, _) = entries[i];
-                        pool.sanitize_one(idx, value, &mut buf);
-                        agg.push_report((user % *shards) as usize, buf.support().iter().copied());
-                    }
-                }
+                Collector::Direct(agg) => pool.sanitize_assignments_into_shards(
+                    &assignments[range.clone()],
+                    agg.shards_mut(),
+                ),
                 Collector::Piped(pipe) => {
                     let handle = pipe.handle();
                     pool.sanitize_assignments(&assignments[range.clone()], piped_workers, &handle)
@@ -718,6 +715,34 @@ mod tests {
         assert!(snap.counter_total("ldp.ingest.pipeline.batches_flushed") > 0);
         assert_eq!(snap.hist_sum("ldp.ingest.pipeline.batch_fill"), 160);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn sanitize_ns_holds_one_sample_per_pass_on_both_paths() {
+        // 80 users × 2 rounds: the direct path and the piped path each
+        // sanitize a round in one pass, so both record exactly 2 samples.
+        let mut csv = String::from("round,user,value\n");
+        for u in 0..80u64 {
+            csv.push_str(&format!("0,{u},{}\n1,{u},{}\n", u % 5, (u + 2) % 5));
+        }
+        let args = "--k 5 --eps-inf 3.0 --alpha 0.5 --top 3";
+        for (tag, extra) in [("direct", ""), ("piped", " --workers 3")] {
+            let path = std::env::temp_dir().join(format!(
+                "loloha_cli_collect_passes_{tag}_{}.json",
+                std::process::id()
+            ));
+            run(
+                &argv(&format!("{args}{extra} --metrics {}", path.display())),
+                &mut input(&csv),
+            )
+            .unwrap();
+            let (_, snap) =
+                ldp_obs::ObsSnapshot::parse_json_str(&std::fs::read_to_string(&path).unwrap())
+                    .unwrap();
+            assert_eq!(snap.hist_count("ldp.client.pool.sanitize_ns"), 2, "{tag}");
+            assert_eq!(snap.counter_total("ldp.client.pool.reports"), 160, "{tag}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

@@ -73,9 +73,11 @@ USAGE:
   loloha-cli collect  --k K --eps-inf E --alpha A [--optimal] [--seed S]
                       [--shards N] [--workers N] [--checkpoint PATH]
                       (reads `round,user,value` CSV lines from stdin;
-                       --workers collects through the concurrent ingest
-                       pipeline, --checkpoint persists + restores the
-                       shard state mid-round)
+                       --shards N sanitizes on N threads, each filling
+                       its own aggregator shard; --workers collects
+                       through the concurrent ingest pipeline,
+                       --checkpoint persists + restores the shard state
+                       mid-round)
   loloha-cli asr      --k K --eps-inf E --alpha A [--seed S]
   loloha-cli bench    [--config SPEC] [--name N] [--out-dir DIR]
                       [--dataset D] [--methods M,..] [--eps E,..]

@@ -34,7 +34,7 @@ pub struct ClientConfig {
 impl ClientConfig {
     /// Resolves `method` over domain `[0, k)` at budgets
     /// `0 < eps_first < eps_inf` — the same parameter resolution as
-    /// `ShardedAggregator::for_method`, so client and server always agree.
+    /// `ShardedAggregator::for_method_obs`, so client and server always agree.
     pub fn for_method(
         method: Method,
         k: u64,

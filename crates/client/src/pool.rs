@@ -163,16 +163,9 @@ impl std::fmt::Debug for ClientPool {
 
 impl ClientPool {
     /// Builds `n` users in index order, each constructed from the registry
-    /// with its own `(seed, user)`-derived RNG stream.
-    ///
-    /// Telemetry lands in the process-wide [`MetricsRegistry::global`];
-    /// use [`Self::with_obs`] to direct it elsewhere.
-    pub fn new(cfg: ClientConfig, seed: u64, n: usize) -> Result<Self, ParamError> {
-        Self::with_obs(cfg, seed, n, &MetricsRegistry::global())
-    }
-
-    /// [`Self::new`] with an explicit telemetry registry (pass
-    /// [`MetricsRegistry::disabled`] to make every instrument a no-op).
+    /// with its own `(seed, user)`-derived RNG stream. Telemetry records
+    /// into `obs` (pass [`MetricsRegistry::disabled`] to make every
+    /// instrument a no-op).
     pub fn with_obs(
         cfg: ClientConfig,
         seed: u64,
@@ -242,13 +235,12 @@ impl ClientPool {
         self.users.iter().map(|u| u.state.as_ref())
     }
 
-    /// Sanitizes one user's value into `buf` (single-threaded callers:
-    /// the CLI's direct path, tests).
+    /// Sanitizes one user's value into `buf` (tests, per-report benches).
+    /// Adds no `sanitize_ns` sample: that histogram holds one per pass.
     ///
     /// # Panics
     /// Panics if `user` is out of range.
     pub fn sanitize_one(&mut self, user: usize, value: u64, buf: &mut ReportBuf) {
-        let _timed = Span::enter(&self.obs.sanitize_ns);
         let slot = &mut self.users[user];
         slot.state.report_into(value, &mut slot.rng, buf);
         self.mark_dirty(user);
@@ -341,6 +333,19 @@ impl ClientPool {
             Round::Sparse(assignments),
             &mut batching_sinks(handle, workers),
         )
+    }
+
+    /// [`Self::sanitize_assignments`] straight into aggregator shards, one
+    /// scoped thread per shard (the CLI's direct path).
+    ///
+    /// # Panics
+    /// Panics if an assignment names an out-of-range user or `shards` is empty.
+    pub fn sanitize_assignments_into_shards(
+        &mut self,
+        assignments: &[(usize, u64)],
+        shards: &mut [Shard],
+    ) {
+        let Ok(()) = self.drive(Round::Sparse(assignments), shards);
     }
 
     /// The one sanitize loop behind every round method. Users split into
@@ -530,9 +535,14 @@ mod tests {
     use ldp_ingest::IngestPipeline;
     use ldp_runtime::{Method, ShardedAggregator};
 
+    /// A telemetry registry that records nothing.
+    fn off() -> MetricsRegistry {
+        MetricsRegistry::disabled()
+    }
+
     fn pool(method: Method, n: usize) -> ClientPool {
         let cfg = ClientConfig::for_method(method, 16, 2.0, 1.0).unwrap();
-        ClientPool::new(cfg, 5, n).unwrap()
+        ClientPool::with_obs(cfg, 5, n, &off()).unwrap()
     }
 
     fn values(n: usize) -> Vec<u64> {
@@ -546,7 +556,8 @@ mod tests {
             let mut reference = None;
             for workers in [1usize, 2, 4, 8] {
                 let mut p = pool(method, 60);
-                let mut pipe = IngestPipeline::for_method(method, 16, 2.0, 1.0, workers).unwrap();
+                let mut pipe =
+                    IngestPipeline::for_method_obs(method, 16, 2.0, 1.0, workers, &off()).unwrap();
                 let handle = pipe.handle();
                 p.sanitize_round(&vals, workers, &handle).unwrap();
                 drop(handle);
@@ -566,13 +577,14 @@ mod tests {
     fn direct_and_piped_rounds_agree() {
         for method in Method::all() {
             let vals = values(40);
-            let mut agg = ShardedAggregator::for_method(method, 16, 2.0, 1.0, 3).unwrap();
+            let mut agg =
+                ShardedAggregator::for_method_obs(method, 16, 2.0, 1.0, 3, &off()).unwrap();
             let mut direct = pool(method, 40);
             direct.sanitize_round_into_shards(&vals, agg.shards_mut());
             let want = agg.finish_round();
 
             let mut piped = pool(method, 40);
-            let mut pipe = IngestPipeline::for_method(method, 16, 2.0, 1.0, 4).unwrap();
+            let mut pipe = IngestPipeline::for_method_obs(method, 16, 2.0, 1.0, 4, &off()).unwrap();
             let handle = pipe.handle();
             piped.sanitize_round(&vals, 4, &handle).unwrap();
             drop(handle);
@@ -587,14 +599,16 @@ mod tests {
         let vals = values(30);
         let dense_assign: Vec<(usize, u64)> = vals.iter().copied().enumerate().collect();
         let mut a = pool(Method::LOsue, 30);
-        let mut pipe_a = IngestPipeline::for_method(Method::LOsue, 16, 2.0, 1.0, 2).unwrap();
+        let mut pipe_a =
+            IngestPipeline::for_method_obs(Method::LOsue, 16, 2.0, 1.0, 2, &off()).unwrap();
         let ha = pipe_a.handle();
         a.sanitize_round(&vals, 2, &ha).unwrap();
         drop(ha);
         let want = pipe_a.finish_round().unwrap();
 
         let mut b = pool(Method::LOsue, 30);
-        let mut pipe_b = IngestPipeline::for_method(Method::LOsue, 16, 2.0, 1.0, 3).unwrap();
+        let mut pipe_b =
+            IngestPipeline::for_method_obs(Method::LOsue, 16, 2.0, 1.0, 3, &off()).unwrap();
         let hb = pipe_b.handle();
         b.sanitize_assignments(&dense_assign, 4, &hb).unwrap();
         drop(hb);
@@ -608,14 +622,16 @@ mod tests {
         for method in Method::all() {
             let vals = values(50);
             let mut reference = pool(method, 50);
-            let mut pipe_a = IngestPipeline::for_method(method, 16, 2.0, 1.0, 3).unwrap();
+            let mut pipe_a =
+                IngestPipeline::for_method_obs(method, 16, 2.0, 1.0, 3, &off()).unwrap();
             let ha = pipe_a.handle();
             reference.sanitize_round(&vals, 3, &ha).unwrap();
             drop(ha);
             let want = pipe_a.finish_round().unwrap();
 
             let mut sunk = pool(method, 50);
-            let mut pipe_b = IngestPipeline::for_method(method, 16, 2.0, 1.0, 3).unwrap();
+            let mut pipe_b =
+                IngestPipeline::for_method_obs(method, 16, 2.0, 1.0, 3, &off()).unwrap();
             let hb = pipe_b.handle();
             let mut sinks: Vec<_> = (0..3).map(|_| hb.batching(8)).collect();
             sunk.sanitize_round_sinks(&vals, &mut sinks).unwrap();
@@ -632,7 +648,8 @@ mod tests {
         for method in Method::all() {
             let vals = values(20);
             let mut original = pool(method, 20);
-            let mut agg = ShardedAggregator::for_method(method, 16, 2.0, 1.0, 1).unwrap();
+            let mut agg =
+                ShardedAggregator::for_method_obs(method, 16, 2.0, 1.0, 1, &off()).unwrap();
             original.sanitize_round_into_shards(&vals, agg.shards_mut());
             let _ = agg.finish_round();
 
@@ -642,8 +659,10 @@ mod tests {
 
             // Continuing both pools produces identical rounds.
             let vals2 = values(20).iter().map(|v| (v + 3) % 16).collect::<Vec<_>>();
-            let mut agg_a = ShardedAggregator::for_method(method, 16, 2.0, 1.0, 1).unwrap();
-            let mut agg_b = ShardedAggregator::for_method(method, 16, 2.0, 1.0, 1).unwrap();
+            let mut agg_a =
+                ShardedAggregator::for_method_obs(method, 16, 2.0, 1.0, 1, &off()).unwrap();
+            let mut agg_b =
+                ShardedAggregator::for_method_obs(method, 16, 2.0, 1.0, 1, &off()).unwrap();
             original.sanitize_round_into_shards(&vals2, agg_a.shards_mut());
             restored.sanitize_round_into_shards(&vals2, agg_b.shards_mut());
             let a = agg_a.finish_round();
@@ -663,13 +682,13 @@ mod tests {
         let cp = p.checkpoint();
         // Different seed.
         let cfg = ClientConfig::for_method(Method::Rappor, 16, 2.0, 1.0).unwrap();
-        let mut other_seed = ClientPool::new(cfg, 6, 10).unwrap();
+        let mut other_seed = ClientPool::with_obs(cfg, 6, 10, &off()).unwrap();
         assert!(matches!(
             other_seed.restore(&cp),
             Err(ClientStoreError::Mismatch("seed differs"))
         ));
         // Different population.
-        let mut other_n = ClientPool::new(cfg, 5, 11).unwrap();
+        let mut other_n = ClientPool::with_obs(cfg, 5, 11, &off()).unwrap();
         assert!(matches!(
             other_n.restore(&cp),
             Err(ClientStoreError::Mismatch("population size differs"))
@@ -690,7 +709,8 @@ mod tests {
         let cfg = ClientConfig::for_method(Method::LOsue, 16, 2.0, 1.0).unwrap();
         let mut p = ClientPool::with_obs(cfg, 5, 12, &reg).unwrap();
         let cp = p.checkpoint();
-        let mut pipe = IngestPipeline::for_method(Method::LOsue, 16, 2.0, 1.0, 2).unwrap();
+        let mut pipe =
+            IngestPipeline::for_method_obs(Method::LOsue, 16, 2.0, 1.0, 2, &off()).unwrap();
         let handle = pipe.handle();
         let mut buf = ReportBuf::new();
         let check = |p: &ClientPool, want: usize| {
@@ -719,7 +739,8 @@ mod tests {
         p.restore(&cp).unwrap();
         check(&p, 12);
         p.mark_clean();
-        let mut agg = ShardedAggregator::for_method(Method::LOsue, 16, 2.0, 1.0, 2).unwrap();
+        let mut agg =
+            ShardedAggregator::for_method_obs(Method::LOsue, 16, 2.0, 1.0, 2, &off()).unwrap();
         p.sanitize_round_into_shards(&values(12), agg.shards_mut());
         check(&p, 12);
         drop(handle);

@@ -296,14 +296,12 @@ pub struct ClientStore {
 
 impl ClientStore {
     /// Creates a single-file store writing to / reading from `path`,
-    /// reporting checkpoint telemetry (`ldp.client.store.*`) to the
-    /// process-wide [`MetricsRegistry::global`]; chain [`Self::with_obs`]
-    /// to direct it elsewhere.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
+    /// reporting checkpoint telemetry (`ldp.client.store.*`) to `obs`.
+    pub fn new(path: impl Into<PathBuf>, obs: &MetricsRegistry) -> Self {
         Self {
             path: path.into(),
             chunk: None,
-            obs: StoreObs::new(&MetricsRegistry::global()),
+            obs: StoreObs::new(obs),
         }
     }
 
@@ -313,20 +311,13 @@ impl ClientStore {
     ///
     /// # Panics
     /// Panics if `chunk` is zero — a segment must hold at least one user.
-    pub fn chunked(dir: impl Into<PathBuf>, chunk: usize) -> Self {
+    pub fn chunked(dir: impl Into<PathBuf>, chunk: usize, obs: &MetricsRegistry) -> Self {
         assert!(chunk >= 1, "segment size must be at least 1 user");
         Self {
             path: dir.into(),
             chunk: Some(chunk),
-            obs: StoreObs::new(&MetricsRegistry::global()),
+            obs: StoreObs::new(obs),
         }
-    }
-
-    /// Rebinds this store's telemetry to an explicit registry (builder
-    /// style: `ClientStore::chunked(dir, 64).with_obs(&reg)`).
-    pub fn with_obs(mut self, obs: &MetricsRegistry) -> Self {
-        self.obs = StoreObs::new(obs);
-        self
     }
 
     /// The checkpoint location: the file (single-file mode) or the
@@ -630,6 +621,11 @@ impl ClientStore {
 mod tests {
     use super::*;
 
+    /// A telemetry registry that records nothing.
+    fn off() -> MetricsRegistry {
+        MetricsRegistry::disabled()
+    }
+
     fn sample() -> ClientCheckpoint {
         ClientCheckpoint {
             meta: CheckpointMeta {
@@ -719,7 +715,7 @@ mod tests {
     fn file_store_roundtrips_and_replaces_atomically() {
         let path =
             std::env::temp_dir().join(format!("ldp_client_store_test_{}.ckpt", std::process::id()));
-        let store = ClientStore::new(&path);
+        let store = ClientStore::new(&path, &off());
         assert!(!store.exists());
         store.save(&sample()).unwrap();
         assert!(store.exists());
@@ -733,7 +729,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_an_io_error() {
-        let store = ClientStore::new("/nonexistent/dir/never.ckpt");
+        let store = ClientStore::new("/nonexistent/dir/never.ckpt", &off());
         assert!(matches!(store.load(), Err(ClientStoreError::Io(_))));
     }
 
@@ -750,7 +746,7 @@ mod tests {
     #[test]
     fn chunked_full_save_load_matches_single_file() {
         let dir = scratch_dir("chunked_roundtrip");
-        let store = ClientStore::chunked(&dir, 1);
+        let store = ClientStore::chunked(&dir, 1, &off());
         assert!(!store.exists());
         let cp = sample();
         store.save(&cp).unwrap();
@@ -769,7 +765,7 @@ mod tests {
     #[test]
     fn chunked_empty_population_roundtrips() {
         let dir = scratch_dir("chunked_empty");
-        let store = ClientStore::chunked(&dir, 4);
+        let store = ClientStore::chunked(&dir, 4, &off());
         let mut cp = sample();
         cp.users.clear();
         store.save(&cp).unwrap();
@@ -780,7 +776,7 @@ mod tests {
     #[test]
     fn stale_segment_content_is_rejected() {
         let dir = scratch_dir("chunked_stale");
-        let store = ClientStore::chunked(&dir, 1);
+        let store = ClientStore::chunked(&dir, 1, &off());
         let cp = sample();
         store.save(&cp).unwrap();
         // Swap one segment's bytes for a *valid* segment sealed under a
@@ -820,7 +816,7 @@ mod tests {
     #[test]
     fn missing_segment_is_an_io_error() {
         let dir = scratch_dir("chunked_missing");
-        let store = ClientStore::chunked(&dir, 2);
+        let store = ClientStore::chunked(&dir, 2, &off());
         store.save(&sample()).unwrap();
         let seg = std::fs::read_dir(&dir)
             .unwrap()
@@ -836,7 +832,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "segment size must be at least 1 user")]
     fn zero_chunk_panics() {
-        let _ = ClientStore::chunked("/tmp/never", 0);
+        let _ = ClientStore::chunked("/tmp/never", 0, &off());
     }
 
     #[test]
@@ -871,7 +867,7 @@ mod tests {
         fixed.put_u64(sum);
         std::fs::write(dir.join(MANIFEST_NAME), fixed.finish()).unwrap();
         std::fs::write(dir.join(format!("seg-00000-{sum:016x}.seg")), &seg).unwrap();
-        let store = ClientStore::chunked(&dir, 4);
+        let store = ClientStore::chunked(&dir, 4, &off());
         assert!(matches!(
             store.load(),
             Err(ClientStoreError::Corrupt(_) | ClientStoreError::Io(_))
@@ -886,7 +882,7 @@ mod tests {
         // provider only for users inside those k segments.
         use std::cell::Cell;
         let dir = scratch_dir("lazy_records");
-        let store = ClientStore::chunked(&dir, 2);
+        let store = ClientStore::chunked(&dir, 2, &off());
         let cp = sample(); // 2 users → 1 segment at chunk 2
         let meta = cp.meta;
         let calls = Cell::new(0usize);
@@ -913,7 +909,7 @@ mod tests {
     fn store_telemetry_agrees_with_save_stats() {
         let dir = scratch_dir("obs_counters");
         let reg = MetricsRegistry::new();
-        let store = ClientStore::chunked(&dir, 1).with_obs(&reg);
+        let store = ClientStore::chunked(&dir, 1, &reg);
         let cp = sample(); // 2 users → 2 segments at chunk 1
 
         store.save(&cp).unwrap(); // full save: both segments hit disk
@@ -949,7 +945,7 @@ mod tests {
     #[test]
     fn gc_sweeps_tmp_orphans_from_crashed_writes() {
         let dir = scratch_dir("tmp_gc");
-        let store = ClientStore::chunked(&dir, 2);
+        let store = ClientStore::chunked(&dir, 2, &off());
         store.save(&sample()).unwrap();
         // Simulate write_atomic crashes: orphaned temp files for a
         // segment and for the manifest itself.

@@ -11,7 +11,13 @@
 
 use ldp_client::{ClientConfig, ClientPool, ReportBuf};
 use ldp_ingest::IngestPipeline;
+use ldp_obs::MetricsRegistry;
 use ldp_runtime::{AggregateSnapshot, Method, ShardedAggregator};
+
+/// A telemetry registry that records nothing.
+fn off() -> MetricsRegistry {
+    MetricsRegistry::disabled()
+}
 
 const K: u64 = 16;
 const EPS_INF: f64 = 2.0;
@@ -21,7 +27,7 @@ const USERS: usize = 60;
 
 fn pool(method: Method) -> ClientPool {
     let cfg = ClientConfig::for_method(method, K, EPS_INF, EPS_FIRST).unwrap();
-    ClientPool::new(cfg, SEED, USERS).unwrap()
+    ClientPool::with_obs(cfg, SEED, USERS, &off()).unwrap()
 }
 
 fn values() -> Vec<u64> {
@@ -33,7 +39,8 @@ fn values() -> Vec<u64> {
 /// aggregator.
 fn single_threaded(method: Method, assignments: &[(usize, u64)]) -> AggregateSnapshot {
     let mut p = pool(method);
-    let mut agg = ShardedAggregator::for_method(method, K, EPS_INF, EPS_FIRST, 1).unwrap();
+    let mut agg =
+        ShardedAggregator::for_method_obs(method, K, EPS_INF, EPS_FIRST, 1, &off()).unwrap();
     let mut buf = ReportBuf::new();
     for &(u, v) in assignments {
         p.sanitize_one(u, v, &mut buf);
@@ -70,7 +77,8 @@ fn batched_round_equals_per_report_round_for_every_method() {
             for batch in [1usize, 7, 64, USERS] {
                 let mut p = pool(method);
                 let mut pipe =
-                    IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, workers).unwrap();
+                    IngestPipeline::for_method_obs(method, K, EPS_INF, EPS_FIRST, workers, &off())
+                        .unwrap();
                 let handle = pipe.handle();
                 let mut sinks: Vec<_> = (0..workers).map(|_| handle.batching(batch)).collect();
                 p.sanitize_round_sinks(&vals, &mut sinks).unwrap();
@@ -84,7 +92,8 @@ fn batched_round_equals_per_report_round_for_every_method() {
             }
             let mut p = pool(method);
             let mut pipe =
-                IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, workers).unwrap();
+                IngestPipeline::for_method_obs(method, K, EPS_INF, EPS_FIRST, workers, &off())
+                    .unwrap();
             p.sanitize_round(&vals, workers, &pipe.handle()).unwrap();
             let got = pipe.finish_round().unwrap();
             assert_bit_identical(
@@ -112,7 +121,8 @@ fn batched_assignments_equal_per_report_round() {
         for workers in [1usize, 4] {
             let mut b = pool(Method::LOsue);
             let mut pipe =
-                IngestPipeline::for_method(Method::LOsue, K, EPS_INF, EPS_FIRST, 3).unwrap();
+                IngestPipeline::for_method_obs(Method::LOsue, K, EPS_INF, EPS_FIRST, 3, &off())
+                    .unwrap();
             b.sanitize_assignments(assignments, workers, &pipe.handle())
                 .unwrap();
             let got = pipe.finish_round().unwrap();
@@ -132,7 +142,8 @@ fn mid_batch_collector_resume_is_lossless() {
     let vals = values();
 
     let mut uninterrupted = pool(method);
-    let mut upipe = IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, 1).unwrap();
+    let mut upipe =
+        IngestPipeline::for_method_obs(method, K, EPS_INF, EPS_FIRST, 1, &off()).unwrap();
     let mut usinks = [upipe.handle().batching(16)];
     uninterrupted
         .sanitize_round_sinks(&vals, &mut usinks)
@@ -144,7 +155,7 @@ fn mid_batch_collector_resume_is_lossless() {
     // then both checkpoints taken after an explicit flush — the ordering
     // the quiescence contract requires.
     let mut live = pool(method);
-    let pipe = IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, 1).unwrap();
+    let pipe = IngestPipeline::for_method_obs(method, K, EPS_INF, EPS_FIRST, 1, &off()).unwrap();
     let mut sub = pipe.handle().batching(16);
     let mut buf = ReportBuf::new();
     for (u, &v) in vals.iter().enumerate().take(40) {
@@ -166,7 +177,8 @@ fn mid_batch_collector_resume_is_lossless() {
     // Resume on a different worker count and finish the round.
     let mut resumed = pool(method);
     resumed.restore(&client_cp).unwrap();
-    let mut pipe = IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, 3).unwrap();
+    let mut pipe =
+        IngestPipeline::for_method_obs(method, K, EPS_INF, EPS_FIRST, 3, &off()).unwrap();
     pipe.restore(&shard_cp).unwrap();
     let mut sub = pipe.handle().batching(16);
     for (u, &v) in vals.iter().enumerate().skip(40) {

@@ -11,11 +11,17 @@
 
 use ldp_client::{ClientConfig, ClientPool, ClientStore, ClientStoreError};
 use ldp_ingest::{IngestPipeline, ShardStore};
+use ldp_obs::MetricsRegistry;
 use ldp_rand::{derive_rng, uniform_u64};
 use ldp_runtime::Method;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A telemetry registry that records nothing.
+fn off() -> MetricsRegistry {
+    MetricsRegistry::disabled()
+}
 
 const K: u64 = 14;
 const EPS_INF: f64 = 2.0;
@@ -44,7 +50,7 @@ fn scratch_path(tag: &str) -> PathBuf {
 
 fn pool(method: Method, seed: u64, n: usize) -> ClientPool {
     let cfg = ClientConfig::for_method(method, K, EPS_INF, EPS_FIRST).unwrap();
-    ClientPool::new(cfg, seed, n).unwrap()
+    ClientPool::with_obs(cfg, seed, n, &off()).unwrap()
 }
 
 fn values(n: usize, round: u64, seed: u64) -> Vec<u64> {
@@ -74,7 +80,7 @@ proptest! {
         // Uninterrupted reference.
         let mut ref_pool = pool(method, seed, n);
         let mut ref_pipe =
-            IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, 2).expect("valid");
+            IngestPipeline::for_method_obs(method, K, EPS_INF, EPS_FIRST, 2, &off()).expect("valid");
         let assigns0: Vec<(usize, u64)> = vals0.iter().copied().enumerate().collect();
         let h = ref_pipe.handle();
         ref_pool.sanitize_assignments(&assigns0, 2, &h).expect("sanitize");
@@ -89,7 +95,7 @@ proptest! {
         // and a simulated crash.
         let mut crash_pool = pool(method, seed, n);
         let crash_pipe =
-            IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, workers).expect("valid");
+            IngestPipeline::for_method_obs(method, K, EPS_INF, EPS_FIRST, workers, &off()).expect("valid");
         let h = crash_pipe.handle();
         crash_pool
             .sanitize_assignments(&assigns0[..mid], workers, &h)
@@ -97,8 +103,8 @@ proptest! {
         drop(h);
         let client_path = scratch_path("dual_client");
         let shard_path = scratch_path("dual_shard");
-        let client_store = ClientStore::new(&client_path);
-        let shard_store = ShardStore::new(&shard_path);
+        let client_store = ClientStore::new(&client_path, &off());
+        let shard_store = ShardStore::with_obs(&shard_path, &off());
         client_store.save(&crash_pool.checkpoint()).expect("save client");
         shard_store
             .save(&crash_pipe.checkpoint().expect("quiesce"))
@@ -112,7 +118,7 @@ proptest! {
             .restore(&client_store.load().expect("load client"))
             .expect("restore client");
         let mut resumed_pipe =
-            IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, workers).expect("valid");
+            IngestPipeline::for_method_obs(method, K, EPS_INF, EPS_FIRST, workers, &off()).expect("valid");
         resumed_pipe
             .restore(&shard_store.load().expect("load shards"))
             .expect("restore shards");
@@ -156,7 +162,7 @@ proptest! {
         for t in 0..rounds {
             let vals = values(n, t, seed);
             let mut pipe =
-                IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, 2).expect("valid");
+                IngestPipeline::for_method_obs(method, K, EPS_INF, EPS_FIRST, 2, &off()).expect("valid");
             let h = pipe.handle();
             p.sanitize_round(&vals, 2, &h).expect("sanitize");
             drop(h);
@@ -164,7 +170,7 @@ proptest! {
         }
         let cp = p.checkpoint();
         let path = scratch_path("roundtrip");
-        let store = ClientStore::new(&path);
+        let store = ClientStore::new(&path, &off());
         store.save(&cp).expect("save");
         let loaded = store.load().expect("load");
         std::fs::remove_file(&path).ok();
@@ -184,14 +190,14 @@ proptest! {
     ) {
         let mut p = pool(method, 3, 6);
         let vals = values(6, 0, 3);
-        let mut pipe = IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, 1).expect("valid");
+        let mut pipe = IngestPipeline::for_method_obs(method, K, EPS_INF, EPS_FIRST, 1, &off()).expect("valid");
         let h = pipe.handle();
         p.sanitize_round(&vals, 1, &h).expect("sanitize");
         drop(h);
         let _ = pipe.finish_round().expect("alive");
 
         let path = scratch_path("trunc");
-        let store = ClientStore::new(&path);
+        let store = ClientStore::new(&path, &off());
         store.save(&p.checkpoint()).expect("save");
         let bytes = std::fs::read(&path).expect("read");
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
@@ -209,14 +215,15 @@ proptest! {
 fn corrupt_foreign_and_future_files_are_rejected_with_typed_errors() {
     let mut p = pool(Method::BiLoloha, 9, 10);
     let vals = values(10, 0, 9);
-    let mut pipe = IngestPipeline::for_method(Method::BiLoloha, K, EPS_INF, EPS_FIRST, 2).unwrap();
+    let mut pipe =
+        IngestPipeline::for_method_obs(Method::BiLoloha, K, EPS_INF, EPS_FIRST, 2, &off()).unwrap();
     let h = pipe.handle();
     p.sanitize_round(&vals, 2, &h).unwrap();
     drop(h);
     let _ = pipe.finish_round().unwrap();
 
     let path = scratch_path("reject");
-    let store = ClientStore::new(&path);
+    let store = ClientStore::new(&path, &off());
     store.save(&p.checkpoint()).unwrap();
     let good = std::fs::read(&path).unwrap();
 
@@ -262,7 +269,7 @@ fn corrupt_foreign_and_future_files_are_rejected_with_typed_errors() {
 fn checkpoints_are_rejected_by_mismatched_pools() {
     let p = pool(Method::LOsue, 11, 8);
     let path = scratch_path("foreign_pool");
-    let store = ClientStore::new(&path);
+    let store = ClientStore::new(&path, &off());
     store.save(&p.checkpoint()).unwrap();
     let cp = store.load().unwrap();
     std::fs::remove_file(&path).ok();

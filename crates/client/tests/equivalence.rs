@@ -15,6 +15,7 @@ use ldp_client::{ClientConfig, ClientPool, DetectionTrack};
 use ldp_hash::{CarterWegman, CwHash, Preimages};
 use ldp_ingest::IngestPipeline;
 use ldp_longitudinal::{DBitFlipClient, LgrrClient, LongitudinalUeClient};
+use ldp_obs::MetricsRegistry;
 use ldp_primitives::BitVec;
 use ldp_rand::{derive_rng2, LdpRng};
 use ldp_runtime::{dbit_buckets, Method, ShardedAggregator};
@@ -144,8 +145,15 @@ fn pool_is_bit_identical_to_the_legacy_dispatch_for_all_methods_and_worker_count
         // Legacy path: single-threaded, straight into one shard.
         let mut legacy: Vec<LegacyUser> =
             (0..N as u64).map(|u| legacy_make_user(method, u)).collect();
-        let mut legacy_agg =
-            ShardedAggregator::for_method(method, K, EPS_INF, EPS_FIRST, 1).unwrap();
+        let mut legacy_agg = ShardedAggregator::for_method_obs(
+            method,
+            K,
+            EPS_INF,
+            EPS_FIRST,
+            1,
+            &MetricsRegistry::disabled(),
+        )
+        .unwrap();
         let mut legacy_rounds = Vec::new();
         let mut scratch = BitVec::zeros(K as usize);
         let mut support = Vec::new();
@@ -161,9 +169,17 @@ fn pool_is_bit_identical_to_the_legacy_dispatch_for_all_methods_and_worker_count
         // Pool path, at every sanitize worker count.
         for workers in [1usize, 2, 4, 8] {
             let cfg = ClientConfig::for_method(method, K, EPS_INF, EPS_FIRST).unwrap();
-            let mut pool = ClientPool::new(cfg, SEED, N).unwrap();
-            let mut pipe =
-                IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, workers).unwrap();
+            let mut pool =
+                ClientPool::with_obs(cfg, SEED, N, &MetricsRegistry::disabled()).unwrap();
+            let mut pipe = IngestPipeline::for_method_obs(
+                method,
+                K,
+                EPS_INF,
+                EPS_FIRST,
+                workers,
+                &MetricsRegistry::disabled(),
+            )
+            .unwrap();
             for (t, want) in legacy_rounds.iter().enumerate() {
                 let values = round_values(N, t as u64);
                 let handle = pipe.handle();

@@ -10,6 +10,7 @@
 //! blocks): same format, different memoized bits and RNG states.
 
 use ldp_client::{decode_client_checkpoint, encode_client_checkpoint, ClientConfig, ClientPool};
+use ldp_obs::MetricsRegistry;
 use ldp_runtime::Method;
 
 fn fixture(name: &str) -> Vec<u8> {
@@ -23,7 +24,7 @@ fn fixture(name: &str) -> Vec<u8> {
 /// L-OSUE over k = 10 at (ε∞, ε1) = (2, 1), seed 42, 4 users.
 fn fixture_pool() -> ClientPool {
     let cfg = ClientConfig::for_method(Method::LOsue, 10, 2.0, 1.0).unwrap();
-    ClientPool::new(cfg, 42, 4).unwrap()
+    ClientPool::with_obs(cfg, 42, 4, &MetricsRegistry::disabled()).unwrap()
 }
 
 #[test]

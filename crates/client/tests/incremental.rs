@@ -11,11 +11,17 @@
 //!   declares the pool clean.
 
 use ldp_client::{ClientConfig, ClientPool, ClientStore};
+use ldp_obs::MetricsRegistry;
 use ldp_rand::{derive_rng, uniform_u64};
 use ldp_runtime::{Method, ShardedAggregator};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A telemetry registry that records nothing.
+fn off() -> MetricsRegistry {
+    MetricsRegistry::disabled()
+}
 
 const K: u64 = 12;
 const EPS_INF: f64 = 2.0;
@@ -45,7 +51,7 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn pool(method: Method, seed: u64, n: usize) -> ClientPool {
     let cfg = ClientConfig::for_method(method, K, EPS_INF, EPS_FIRST).unwrap();
-    ClientPool::new(cfg, seed, n).unwrap()
+    ClientPool::with_obs(cfg, seed, n, &off()).unwrap()
 }
 
 fn values(n: usize, round: u64, seed: u64) -> Vec<u64> {
@@ -54,9 +60,15 @@ fn values(n: usize, round: u64, seed: u64) -> Vec<u64> {
 }
 
 fn run_round(p: &mut ClientPool, vals: &[u64]) -> Vec<u64> {
-    let mut agg =
-        ShardedAggregator::for_method(p.config().method().unwrap(), K, EPS_INF, EPS_FIRST, 1)
-            .unwrap();
+    let mut agg = ShardedAggregator::for_method_obs(
+        p.config().method().unwrap(),
+        K,
+        EPS_INF,
+        EPS_FIRST,
+        1,
+        &off(),
+    )
+    .unwrap();
     p.sanitize_round_into_shards(vals, agg.shards_mut());
     agg.finish_round().counts
 }
@@ -80,8 +92,8 @@ proptest! {
     ) {
         let dir = scratch("equiv_dir");
         let file = scratch("equiv_file");
-        let chunked = ClientStore::chunked(&dir, chunk);
-        let full = ClientStore::new(&file);
+        let chunked = ClientStore::chunked(&dir, chunk, &off());
+        let full = ClientStore::new(&file, &off());
 
         let mut p = pool(method, seed, n);
         for t in 0..rounds {
@@ -123,7 +135,7 @@ proptest! {
         const N: usize = 24;
         const CHUNK: usize = 4; // 6 segments
         let dir = scratch("sparse");
-        let store = ClientStore::chunked(&dir, CHUNK);
+        let store = ClientStore::chunked(&dir, CHUNK, &off());
         let mut p = pool(method, seed, N);
 
         // Baseline: first save writes every segment (everything dirty).
@@ -133,7 +145,7 @@ proptest! {
 
         // One user in one segment reports; only that segment rewrites.
         let user = touch_seg * CHUNK + (seed as usize % CHUNK);
-        let mut agg = ShardedAggregator::for_method(method, K, EPS_INF, EPS_FIRST, 1).unwrap();
+        let mut agg = ShardedAggregator::for_method_obs(method, K, EPS_INF, EPS_FIRST, 1, &off()).unwrap();
         let mut buf = ldp_client::ReportBuf::new();
         p.sanitize_one(user, seed % K, &mut buf);
         agg.shards_mut()[0].add_report(buf.support().iter().copied());
@@ -173,7 +185,8 @@ fn dirty_flags_track_reports_restores_and_mark_clean() {
     assert_eq!(dirty, vec![3]);
 
     // A dense round marks everyone …
-    let mut agg = ShardedAggregator::for_method(Method::LOsue, K, EPS_INF, EPS_FIRST, 1).unwrap();
+    let mut agg =
+        ShardedAggregator::for_method_obs(Method::LOsue, K, EPS_INF, EPS_FIRST, 1, &off()).unwrap();
     p.sanitize_round_into_shards(&[1; 8], agg.shards_mut());
     assert!(p.dirty().iter().all(|&d| d));
 
@@ -188,7 +201,7 @@ fn dirty_flags_track_reports_restores_and_mark_clean() {
 #[test]
 fn garbage_collection_leaves_exactly_the_referenced_segments() {
     let dir = scratch("gc");
-    let store = ClientStore::chunked(&dir, 2);
+    let store = ClientStore::chunked(&dir, 2, &off());
     let mut p = pool(Method::LGrr, 9, 6); // 3 segments
     store.save_pool(&mut p).unwrap();
     let count_segs = || {
@@ -214,7 +227,7 @@ fn garbage_collection_leaves_exactly_the_referenced_segments() {
 #[test]
 fn load_pool_is_the_read_side_mirror_of_save_pool() {
     let dir = scratch("load_pool");
-    let store = ClientStore::chunked(&dir, 3);
+    let store = ClientStore::chunked(&dir, 3, &off());
     let mut p = pool(Method::BiLoloha, 41, 8);
     let vals = values(8, 0, 41);
     let reported = run_round(&mut p, &vals);

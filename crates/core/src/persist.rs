@@ -31,35 +31,10 @@
 use crate::client::LolohaClient;
 use crate::params::LolohaParams;
 use ldp_hash::CwHash;
-use ldp_obs::{Counter, Histogram, MetricsRegistry, Span};
 use ldp_primitives::codec::{self, CodecReader, CodecWriter};
-use std::sync::OnceLock;
 
 const MAGIC: &[u8; 4] = b"LLHA";
 const VERSION: u16 = 2;
-
-/// Encode/decode telemetry (`ldp.core.persist.*`), registered once in the
-/// process-wide registry. The free functions here have no instance to hang
-/// per-call registries off, so they always report globally; the recorded
-/// quantities are durations and byte totals only — memo contents never
-/// reach an instrument (`ldp_lint` rule P004 enforces this).
-struct PersistObs {
-    save_ns: Histogram,
-    load_ns: Histogram,
-    bytes_written: Counter,
-}
-
-fn persist_obs() -> &'static PersistObs {
-    static OBS: OnceLock<PersistObs> = OnceLock::new();
-    OBS.get_or_init(|| {
-        let reg = MetricsRegistry::global();
-        PersistObs {
-            save_ns: reg.histogram("ldp.core.persist.save_ns"),
-            load_ns: reg.histogram("ldp.core.persist.load_ns"),
-            bytes_written: reg.counter("ldp.core.persist.bytes_written"),
-        }
-    })
-}
 
 /// Why a snapshot failed to decode — the workspace-wide checkpoint error
 /// type (see [`ldp_primitives::codec::CodecError`]).
@@ -78,8 +53,6 @@ fn fingerprint(g: u32, k: u64, eps_inf: f64, eps_first: f64) -> u64 {
 
 /// Serializes a client into a fresh byte buffer.
 pub fn save_client(client: &LolohaClient<CwHash>) -> Vec<u8> {
-    let obs = persist_obs();
-    let _timed = Span::enter(&obs.save_ns);
     let params = client.params();
     let g = params.g();
     let (a, b) = client.hash_fn().parts();
@@ -95,15 +68,12 @@ pub fn save_client(client: &LolohaClient<CwHash>) -> Vec<u8> {
     for cell in 0..g {
         w.put_u16(client.memoized_symbol(cell).unwrap_or(u16::MAX));
     }
-    let bytes = w.finish();
-    obs.bytes_written.inc_by(bytes.len() as u64);
-    bytes
+    w.finish()
 }
 
 /// Restores a client from a snapshot produced by [`save_client`] (current
 /// or any older supported format version).
 pub fn load_client(bytes: &[u8]) -> Result<LolohaClient<CwHash>, PersistError> {
-    let _timed = Span::enter(&persist_obs().load_ns);
     match codec::sniff_version(bytes, MAGIC)? {
         1 => load_v1(bytes),
         VERSION => {

@@ -451,27 +451,9 @@ impl fmt::Debug for IngestPipeline {
 
 impl IngestPipeline {
     /// Creates a pipeline for `method` (same parameter resolution as
-    /// [`ShardedAggregator::for_method`]) with `workers` shard workers
-    /// (clamped to ≥ 1) and the default channel capacity.
-    pub fn for_method(
-        method: Method,
-        k: u64,
-        eps_inf: f64,
-        eps_first: f64,
-        workers: usize,
-    ) -> Result<Self, ParamError> {
-        Self::for_method_obs(
-            method,
-            k,
-            eps_inf,
-            eps_first,
-            workers,
-            &MetricsRegistry::global(),
-        )
-    }
-
-    /// [`Self::for_method`] with an explicit telemetry registry (the
-    /// default constructors instrument into the process-wide one).
+    /// [`ShardedAggregator::for_method_obs`]) with `workers` shard workers
+    /// (clamped to ≥ 1) and the default channel capacity. The pipeline
+    /// and its aggregator record telemetry into `obs`.
     pub fn for_method_obs(
         method: Method,
         k: u64,
@@ -488,12 +470,8 @@ impl IngestPipeline {
         ))
     }
 
-    /// Creates a LOLOHA pipeline from explicit parameters.
-    pub fn for_loloha(k: u64, params: LolohaParams, workers: usize) -> Result<Self, ParamError> {
-        Self::for_loloha_obs(k, params, workers, &MetricsRegistry::global())
-    }
-
-    /// [`Self::for_loloha`] with an explicit telemetry registry.
+    /// Creates a LOLOHA pipeline from explicit parameters, recording
+    /// telemetry into `obs`.
     pub fn for_loloha_obs(
         k: u64,
         params: LolohaParams,
@@ -511,14 +489,9 @@ impl IngestPipeline {
     /// Wraps an existing aggregator: one worker per aggregator shard, each
     /// envelope channel bounded at `capacity` (clamped to ≥ 1). The
     /// aggregator should be freshly reset; its shards hold merged round
-    /// state between [`Self::finish_round`] calls.
-    pub fn from_aggregator(agg: ShardedAggregator, capacity: usize) -> Self {
-        Self::from_aggregator_obs(agg, capacity, &MetricsRegistry::global())
-    }
-
-    /// [`Self::from_aggregator`] with an explicit telemetry registry for
-    /// the *pipeline* instruments (the aggregator keeps the registry it
-    /// was constructed with).
+    /// state between [`Self::finish_round`] calls. `obs` receives the
+    /// *pipeline* instruments; the aggregator keeps the registry it was
+    /// constructed with.
     pub fn from_aggregator_obs(
         mut agg: ShardedAggregator,
         capacity: usize,
@@ -706,8 +679,13 @@ mod tests {
     use super::*;
     use crate::DEFAULT_BATCH_REPORTS;
 
+    /// A telemetry registry that records nothing.
+    fn off() -> MetricsRegistry {
+        MetricsRegistry::disabled()
+    }
+
     fn reference(dim_reports: &[(Vec<usize>, u64)], method: Method, k: u64) -> AggregateSnapshot {
-        let mut agg = ShardedAggregator::for_method(method, k, 2.0, 1.0, 1).unwrap();
+        let mut agg = ShardedAggregator::for_method_obs(method, k, 2.0, 1.0, 1, &off()).unwrap();
         for (support, _) in dim_reports {
             agg.push_report(0, support.iter().copied());
         }
@@ -730,7 +708,8 @@ mod tests {
             .collect();
         let want = reference(&reports, Method::LGrr, 8);
         for workers in [1usize, 2, 4, 8] {
-            let mut pipe = IngestPipeline::for_method(Method::LGrr, 8, 2.0, 1.0, workers).unwrap();
+            let mut pipe =
+                IngestPipeline::for_method_obs(Method::LGrr, 8, 2.0, 1.0, workers, &off()).unwrap();
             let mut sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
             for (support, key) in &reports {
                 sub.submit(*key, support.iter().copied()).unwrap();
@@ -743,7 +722,8 @@ mod tests {
 
     #[test]
     fn workers_persist_across_rounds() {
-        let mut pipe = IngestPipeline::for_method(Method::Rappor, 6, 2.0, 1.0, 3).unwrap();
+        let mut pipe =
+            IngestPipeline::for_method_obs(Method::Rappor, 6, 2.0, 1.0, 3, &off()).unwrap();
         for round in 0..3u64 {
             let mut sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
             for i in 0..20u64 {
@@ -757,7 +737,8 @@ mod tests {
 
     #[test]
     fn snapshot_is_non_destructive_and_ordered() {
-        let mut pipe = IngestPipeline::for_method(Method::LGrr, 5, 2.0, 1.0, 2).unwrap();
+        let mut pipe =
+            IngestPipeline::for_method_obs(Method::LGrr, 5, 2.0, 1.0, 2, &off()).unwrap();
         let mut sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
         sub.submit(1, [2usize]).unwrap();
         sub.submit(2, [4usize]).unwrap();
@@ -784,7 +765,8 @@ mod tests {
             .map(|(i, r)| (r.clone(), i as u64))
             .collect();
         let want = reference(&as_pairs, Method::Rappor, 10);
-        let mut pipe = IngestPipeline::for_method(Method::Rappor, 10, 2.0, 1.0, 4).unwrap();
+        let mut pipe =
+            IngestPipeline::for_method_obs(Method::Rappor, 10, 2.0, 1.0, 4, &off()).unwrap();
         let handle = pipe.handle();
         std::thread::scope(|s| {
             for (t, chunk) in reports.chunks(50).enumerate() {
@@ -806,8 +788,8 @@ mod tests {
 
     #[test]
     fn backpressure_capacity_one_still_completes() {
-        let agg = ShardedAggregator::for_method(Method::LGrr, 4, 2.0, 1.0, 2).unwrap();
-        let mut pipe = IngestPipeline::from_aggregator(agg, 1);
+        let agg = ShardedAggregator::for_method_obs(Method::LGrr, 4, 2.0, 1.0, 2, &off()).unwrap();
+        let mut pipe = IngestPipeline::from_aggregator_obs(agg, 1, &off());
         let mut sub = pipe.handle().batching(1);
         for i in 0..500u64 {
             sub.submit(i, [(i % 4) as usize]).unwrap();
@@ -819,7 +801,8 @@ mod tests {
 
     #[test]
     fn batch_length_mismatch_is_rejected() {
-        let mut pipe = IngestPipeline::for_method(Method::LGrr, 4, 2.0, 1.0, 2).unwrap();
+        let mut pipe =
+            IngestPipeline::for_method_obs(Method::LGrr, 4, 2.0, 1.0, 2, &off()).unwrap();
         let err = pipe.submit_batch(vec![0; 3], 1).unwrap_err();
         assert!(matches!(
             err,
@@ -829,7 +812,8 @@ mod tests {
 
     #[test]
     fn restore_rejects_dim_mismatch() {
-        let mut pipe = IngestPipeline::for_method(Method::LGrr, 4, 2.0, 1.0, 2).unwrap();
+        let mut pipe =
+            IngestPipeline::for_method_obs(Method::LGrr, 4, 2.0, 1.0, 2, &off()).unwrap();
         let cp = ShardCheckpoint {
             dim: 9,
             shards: vec![],
@@ -843,8 +827,9 @@ mod tests {
     #[test]
     fn checkpoint_restore_resumes_mid_round() {
         let mut uninterrupted =
-            IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 3).unwrap();
-        let first = IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 3).unwrap();
+            IngestPipeline::for_method_obs(Method::BiLoloha, 12, 2.0, 1.0, 3, &off()).unwrap();
+        let first =
+            IngestPipeline::for_method_obs(Method::BiLoloha, 12, 2.0, 1.0, 3, &off()).unwrap();
         let mut whole = uninterrupted.handle().batching(DEFAULT_BATCH_REPORTS);
         let mut sub = first.handle().batching(DEFAULT_BATCH_REPORTS);
         for i in 0..40u64 {
@@ -856,7 +841,8 @@ mod tests {
         sub.finish().unwrap();
         let cp = first.checkpoint().unwrap();
         drop(first);
-        let mut resumed = IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 5).unwrap();
+        let mut resumed =
+            IngestPipeline::for_method_obs(Method::BiLoloha, 12, 2.0, 1.0, 5, &off()).unwrap();
         resumed.restore(&cp).unwrap();
         let mut sub = resumed.handle().batching(DEFAULT_BATCH_REPORTS);
         for i in 40..90u64 {
@@ -872,7 +858,8 @@ mod tests {
 
     #[test]
     fn tasks_expand_on_the_worker() {
-        let mut pipe = IngestPipeline::for_method(Method::LGrr, 6, 2.0, 1.0, 2).unwrap();
+        let mut pipe =
+            IngestPipeline::for_method_obs(Method::LGrr, 6, 2.0, 1.0, 2, &off()).unwrap();
         for i in 0..30u64 {
             pipe.submit_task(i, move |shard| {
                 shard.add_report([(i % 6) as usize]);
@@ -886,7 +873,7 @@ mod tests {
 
     #[test]
     fn dropping_the_pipeline_with_a_live_handle_does_not_hang() {
-        let pipe = IngestPipeline::for_method(Method::LGrr, 4, 2.0, 1.0, 2).unwrap();
+        let pipe = IngestPipeline::for_method_obs(Method::LGrr, 4, 2.0, 1.0, 2, &off()).unwrap();
         let mut sub = pipe.handle().batching(1);
         sub.submit(0, [1usize]).unwrap();
         sub.flush().unwrap();
@@ -898,7 +885,7 @@ mod tests {
 
     #[test]
     fn worker_count_clamps_to_one() {
-        let pipe = IngestPipeline::for_method(Method::LGrr, 4, 2.0, 1.0, 0).unwrap();
+        let pipe = IngestPipeline::for_method_obs(Method::LGrr, 4, 2.0, 1.0, 0, &off()).unwrap();
         assert_eq!(pipe.worker_count(), 1);
     }
 
@@ -945,7 +932,8 @@ mod tests {
         for batch in [1usize, 7, 64, 4096] {
             for workers in [1usize, 3] {
                 let mut pipe =
-                    IngestPipeline::for_method(Method::LGrr, 8, 2.0, 1.0, workers).unwrap();
+                    IngestPipeline::for_method_obs(Method::LGrr, 8, 2.0, 1.0, workers, &off())
+                        .unwrap();
                 let mut sub = pipe.handle().batching(batch);
                 for (support, key) in &reports {
                     sub.submit(*key, support.iter().copied()).unwrap();
@@ -959,7 +947,8 @@ mod tests {
 
     #[test]
     fn unflushed_batches_drain_on_drop() {
-        let mut pipe = IngestPipeline::for_method(Method::LGrr, 4, 2.0, 1.0, 2).unwrap();
+        let mut pipe =
+            IngestPipeline::for_method_obs(Method::LGrr, 4, 2.0, 1.0, 2, &off()).unwrap();
         let mut sub = pipe.handle().batching(1024);
         for i in 0..10u64 {
             sub.submit(i, [(i % 4) as usize]).unwrap();
@@ -970,7 +959,8 @@ mod tests {
 
     #[test]
     fn batched_out_of_range_support_rolls_back_the_partial_report() {
-        let mut pipe = IngestPipeline::for_method(Method::LGrr, 4, 2.0, 1.0, 1).unwrap();
+        let mut pipe =
+            IngestPipeline::for_method_obs(Method::LGrr, 4, 2.0, 1.0, 1, &off()).unwrap();
         let mut sub = pipe.handle().batching(16);
         sub.submit(0, [1usize]).unwrap();
         let err = sub.submit(0, [2usize, 9]).unwrap_err();
@@ -1001,8 +991,15 @@ mod tests {
         let each: Vec<(Vec<usize>, u64)> = supports.iter().map(|s| (s.clone(), 1)).collect();
         let reference = reference(&each, Method::LOsue, dim as u64);
         for (batch_reports, workers) in [(1usize, 1usize), (7, 2), (256, 3)] {
-            let mut pipe =
-                IngestPipeline::for_method(Method::LOsue, dim as u64, 2.0, 1.0, workers).unwrap();
+            let mut pipe = IngestPipeline::for_method_obs(
+                Method::LOsue,
+                dim as u64,
+                2.0,
+                1.0,
+                workers,
+                &off(),
+            )
+            .unwrap();
             let mut sub = pipe.handle().batching(batch_reports);
             for (key, s) in supports.iter().enumerate() {
                 // Alternate shapes, so accumulators switch layout.
@@ -1021,7 +1018,8 @@ mod tests {
             assert_snap_eq(&reference, &pipe.finish_round().unwrap(), "rows");
         }
 
-        let mut pipe = IngestPipeline::for_method(Method::LOsue, dim as u64, 2.0, 1.0, 1).unwrap();
+        let mut pipe =
+            IngestPipeline::for_method_obs(Method::LOsue, dim as u64, 2.0, 1.0, 1, &off()).unwrap();
         let mut sub = pipe.handle().batching(16);
         sub.submit_row(0, &[1, 0]).unwrap();
         for (bad, index) in [(vec![1u64, 1 << 6], 70usize), (vec![0, 0, 1 << 2], 130)] {
@@ -1072,7 +1070,7 @@ mod tests {
         // the unacknowledged suffix reproduces the uninterrupted round —
         // no buffered report lost, none double-counted.
         let mut uninterrupted =
-            IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 3).unwrap();
+            IngestPipeline::for_method_obs(Method::BiLoloha, 12, 2.0, 1.0, 3, &off()).unwrap();
         let mut sub = uninterrupted.handle().batching(DEFAULT_BATCH_REPORTS);
         for i in 0..90u64 {
             sub.submit(i, [(i % 12) as usize]).unwrap();
@@ -1083,7 +1081,8 @@ mod tests {
         // One worker on the crashing side: every report routes to the
         // same accumulator, so the flushed prefix is exactly 32 (flushes
         // at submits 17 and 33, leaving reports 32..40 buffered).
-        let first = IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 1).unwrap();
+        let first =
+            IngestPipeline::for_method_obs(Method::BiLoloha, 12, 2.0, 1.0, 1, &off()).unwrap();
         let mut sub = first.handle().batching(16);
         for i in 0..40u64 {
             sub.submit(i, [(i % 12) as usize]).unwrap();
@@ -1094,7 +1093,8 @@ mod tests {
         drop(sub); // the 8 buffered reports die with the "crash"
         drop(first);
 
-        let mut resumed = IngestPipeline::for_method(Method::BiLoloha, 12, 2.0, 1.0, 5).unwrap();
+        let mut resumed =
+            IngestPipeline::for_method_obs(Method::BiLoloha, 12, 2.0, 1.0, 5, &off()).unwrap();
         resumed.restore(&cp).unwrap();
         let mut sub = resumed.handle().batching(16);
         // The client resubmits everything past the acknowledged prefix.

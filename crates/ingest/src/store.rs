@@ -164,14 +164,7 @@ pub struct ShardStore {
 
 impl ShardStore {
     /// Creates a store writing to / reading from `path`, reporting
-    /// checkpoint telemetry (`ldp.ingest.store.*`) to the process-wide
-    /// [`MetricsRegistry::global`]; use [`Self::with_obs`] to direct it
-    /// elsewhere.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        Self::with_obs(path, &MetricsRegistry::global())
-    }
-
-    /// [`Self::new`] with an explicit telemetry registry.
+    /// checkpoint telemetry (`ldp.ingest.store.*`) to `obs`.
     pub fn with_obs(path: impl Into<PathBuf>, obs: &MetricsRegistry) -> Self {
         Self {
             path: path.into(),
@@ -318,7 +311,7 @@ mod tests {
     fn file_store_roundtrips_and_replaces_atomically() {
         let path =
             std::env::temp_dir().join(format!("ldp_ingest_store_test_{}.ckpt", std::process::id()));
-        let store = ShardStore::new(&path);
+        let store = ShardStore::with_obs(&path, &MetricsRegistry::disabled());
         assert!(!store.exists());
         store.save(&sample()).unwrap();
         assert!(store.exists());
@@ -338,7 +331,8 @@ mod tests {
 
     #[test]
     fn missing_file_is_an_io_error() {
-        let store = ShardStore::new("/nonexistent/dir/never.ckpt");
+        let store =
+            ShardStore::with_obs("/nonexistent/dir/never.ckpt", &MetricsRegistry::disabled());
         assert!(matches!(store.load(), Err(ShardStoreError::Io(_))));
     }
 

@@ -3,11 +3,17 @@
 //! store; corrupt and foreign files must be rejected with typed errors.
 
 use ldp_ingest::{IngestPipeline, ShardStore, ShardStoreError, DEFAULT_BATCH_REPORTS};
+use ldp_obs::MetricsRegistry;
 use ldp_rand::{derive_rng, uniform_u64};
 use ldp_runtime::Method;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A telemetry registry that records nothing.
+fn off() -> MetricsRegistry {
+    MetricsRegistry::disabled()
+}
 
 fn arb_method() -> impl Strategy<Value = Method> {
     prop_oneof![
@@ -56,9 +62,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut uninterrupted =
-            IngestPipeline::for_method(method, k, 2.0, 1.0, 3).expect("valid");
+            IngestPipeline::for_method_obs(method, k, 2.0, 1.0, 3, &off()).expect("valid");
         let before_crash =
-            IngestPipeline::for_method(method, k, 2.0, 1.0, 3).expect("valid");
+            IngestPipeline::for_method_obs(method, k, 2.0, 1.0, 3, &off()).expect("valid");
         let dim = uninterrupted.dim();
         let reports = synth_reports(dim, n, seed);
         let cut = ((n as f64 * cut_frac) as usize).clamp(1, n - 1);
@@ -71,12 +77,12 @@ proptest! {
         }
         sub.finish().expect("workers alive");
         let path = scratch_path();
-        let store = ShardStore::new(&path);
+        let store = ShardStore::with_obs(&path, &off());
         store.save(&before_crash.checkpoint().expect("quiesce")).expect("save");
         drop(before_crash); // the "crash"
 
         let mut resumed =
-            IngestPipeline::for_method(method, k, 2.0, 1.0, 5).expect("valid");
+            IngestPipeline::for_method_obs(method, k, 2.0, 1.0, 5, &off()).expect("valid");
         resumed.restore(&store.load().expect("load")).expect("restore");
         std::fs::remove_file(&path).ok();
 
@@ -99,14 +105,14 @@ proptest! {
 
 #[test]
 fn corrupt_file_is_rejected_with_a_typed_error() {
-    let pipe = IngestPipeline::for_method(Method::BiLoloha, 10, 2.0, 1.0, 2).unwrap();
+    let pipe = IngestPipeline::for_method_obs(Method::BiLoloha, 10, 2.0, 1.0, 2, &off()).unwrap();
     let mut sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
     for i in 0..20u64 {
         sub.submit(i, [(i % 10) as usize]).unwrap();
     }
     sub.finish().unwrap();
     let path = scratch_path();
-    let store = ShardStore::new(&path);
+    let store = ShardStore::with_obs(&path, &off());
     store.save(&pipe.checkpoint().unwrap()).unwrap();
 
     // Flip a byte in the middle of the file: checksum must catch it.
@@ -122,14 +128,14 @@ fn corrupt_file_is_rejected_with_a_typed_error() {
 #[test]
 fn old_or_foreign_files_are_rejected_not_panicked() {
     let path = scratch_path();
-    let store = ShardStore::new(&path);
+    let store = ShardStore::with_obs(&path, &off());
 
     // A foreign file (wrong magic).
     std::fs::write(&path, b"definitely not a checkpoint").unwrap();
     assert_eq!(store.load().err(), Some(ShardStoreError::BadMagic));
 
     // A future format version with an otherwise plausible layout.
-    let pipe = IngestPipeline::for_method(Method::LGrr, 6, 2.0, 1.0, 2).unwrap();
+    let pipe = IngestPipeline::for_method_obs(Method::LGrr, 6, 2.0, 1.0, 2, &off()).unwrap();
     let mut sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
     sub.submit(0, [1usize]).unwrap();
     sub.finish().unwrap();

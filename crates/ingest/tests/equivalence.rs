@@ -4,9 +4,15 @@
 //! single-threaded `ShardedAggregator` replay.
 
 use ldp_ingest::{IngestPipeline, DEFAULT_BATCH_REPORTS};
+use ldp_obs::MetricsRegistry;
 use ldp_rand::{derive_rng, uniform_u64};
 use ldp_runtime::{AggregateSnapshot, Method, ShardedAggregator};
 use proptest::prelude::*;
+
+/// A telemetry registry that records nothing.
+fn off() -> MetricsRegistry {
+    MetricsRegistry::disabled()
+}
 
 fn arb_method() -> impl Strategy<Value = Method> {
     prop_oneof![
@@ -57,10 +63,10 @@ proptest! {
         n in 0usize..50,
         seed in any::<u64>(),
     ) {
-        let mut single = ShardedAggregator::for_method(method, k, 2.0, 1.0, 1).expect("valid");
+        let mut single = ShardedAggregator::for_method_obs(method, k, 2.0, 1.0, 1, &off()).expect("valid");
         let dim = single.dim();
         for workers in [1usize, 2, 4, 8] {
-            let mut pipe = IngestPipeline::for_method(method, k, 2.0, 1.0, workers)
+            let mut pipe = IngestPipeline::for_method_obs(method, k, 2.0, 1.0, workers, &off())
                 .expect("valid");
             for round in 0..2u64 {
                 let reports = synth_reports(dim, n, seed ^ round);
@@ -93,10 +99,10 @@ proptest! {
         batch in 1usize..70,
         seed in any::<u64>(),
     ) {
-        let mut single = ShardedAggregator::for_method(method, k, 2.0, 1.0, 1).expect("valid");
+        let mut single = ShardedAggregator::for_method_obs(method, k, 2.0, 1.0, 1, &off()).expect("valid");
         let dim = single.dim();
         for workers in [1usize, 2, 4] {
-            let mut pipe = IngestPipeline::for_method(method, k, 2.0, 1.0, workers)
+            let mut pipe = IngestPipeline::for_method_obs(method, k, 2.0, 1.0, workers, &off())
                 .expect("valid");
             let reports = synth_reports(dim, n, seed);
             let mut sub = pipe.handle().batching(batch);
@@ -123,10 +129,10 @@ proptest! {
         k in 6u64..16,
         seed in any::<u64>(),
     ) {
-        let mut single = ShardedAggregator::for_method(method, k, 2.0, 1.0, 1).expect("valid");
+        let mut single = ShardedAggregator::for_method_obs(method, k, 2.0, 1.0, 1, &off()).expect("valid");
         let dim = single.dim();
         let reports = synth_reports(dim, 30, seed);
-        let mut pipe = IngestPipeline::for_method(method, k, 2.0, 1.0, 4).expect("valid");
+        let mut pipe = IngestPipeline::for_method_obs(method, k, 2.0, 1.0, 4, &off()).expect("valid");
         let mut sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
         for (i, support) in reports.iter().take(15).enumerate() {
             single.push_report(0, support.iter().copied());
@@ -158,8 +164,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let method = Method::BiLoloha;
-        let mut by_key = IngestPipeline::for_method(method, k, 2.0, 1.0, 3).expect("valid");
-        let mut by_batch = IngestPipeline::for_method(method, k, 2.0, 1.0, 2).expect("valid");
+        let mut by_key = IngestPipeline::for_method_obs(method, k, 2.0, 1.0, 3, &off()).expect("valid");
+        let mut by_batch = IngestPipeline::for_method_obs(method, k, 2.0, 1.0, 2, &off()).expect("valid");
         let dim = by_key.dim();
         let reports = synth_reports(dim, n, seed);
         let mut batch = vec![0u64; dim];

@@ -23,7 +23,7 @@ use ldp_client::{ClientConfig, ClientPool, ReportSink};
 use ldp_ingest::ReportBatch;
 use ldp_obs::{Histogram, MetricsRegistry, Span};
 use ldp_primitives::codec::fnv1a;
-use ldp_runtime::{Method, ShardedAggregator};
+use ldp_runtime::Method;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -358,11 +358,9 @@ impl ReportSink for NetSink {
 pub fn run_loadgen(cfg: &LoadgenConfig, obs: &MetricsRegistry) -> Result<LoadgenReport, NetError> {
     let client_cfg = ClientConfig::for_method(cfg.method, cfg.k, cfg.eps_inf, cfg.eps_first)
         .map_err(|e| NetError::Pipeline(e.to_string()))?;
-    // Resolve the aggregation dimension exactly as the daemon does (for
-    // bucketized dBitFlipPM it is `b`, not `k`).
-    let dim = ShardedAggregator::for_method(cfg.method, cfg.k, cfg.eps_inf, cfg.eps_first, 1)
-        .map_err(|e| NetError::Pipeline(e.to_string()))?
-        .dim();
+    // The aggregation dimension by the daemon's own rule (for bucketized
+    // dBitFlipPM it is `b`, not `k`).
+    let dim = cfg.method.dim(cfg.k);
     let fingerprint = config_fingerprint(cfg.method, cfg.k, dim as u64, cfg.eps_inf, cfg.eps_first);
     let mut pool = ClientPool::with_obs(client_cfg, cfg.seed, cfg.users, obs)
         .map_err(|e| NetError::Pipeline(e.to_string()))?;

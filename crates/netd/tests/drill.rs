@@ -30,6 +30,11 @@ use ldp_runtime::{Method, ShardedAggregator};
 use std::path::PathBuf;
 use std::time::Duration;
 
+/// A telemetry registry that records nothing.
+fn off() -> MetricsRegistry {
+    MetricsRegistry::disabled()
+}
+
 const K: u64 = 8;
 const EPS_INF: f64 = 2.0;
 const EPS_FIRST: f64 = 1.0;
@@ -63,8 +68,9 @@ fn reference_rounds(
     workers: usize,
 ) -> Vec<(u64, Vec<f64>)> {
     let cfg = ClientConfig::for_method(method, K, EPS_INF, EPS_FIRST).unwrap();
-    let mut pool = ClientPool::new(cfg, SEED, users).unwrap();
-    let mut pipeline = IngestPipeline::for_method(method, K, EPS_INF, EPS_FIRST, workers).unwrap();
+    let mut pool = ClientPool::with_obs(cfg, SEED, users, &off()).unwrap();
+    let mut pipeline =
+        IngestPipeline::for_method_obs(method, K, EPS_INF, EPS_FIRST, workers, &off()).unwrap();
     let mut out = Vec::new();
     for round in 0..rounds {
         let values = round_values(SEED, round, users, K);
@@ -184,8 +190,8 @@ fn send_prefix(
     obs: &MetricsRegistry,
 ) -> u64 {
     let cfg = ClientConfig::for_method(method, K, EPS_INF, EPS_FIRST).unwrap();
-    let mut pool = ClientPool::new(cfg, SEED, users).unwrap();
-    let dim = ShardedAggregator::for_method(method, K, EPS_INF, EPS_FIRST, 1)
+    let mut pool = ClientPool::with_obs(cfg, SEED, users, &off()).unwrap();
+    let dim = ShardedAggregator::for_method_obs(method, K, EPS_INF, EPS_FIRST, 1, &off())
         .unwrap()
         .dim();
     let fingerprint = config_fingerprint(method, K, dim as u64, EPS_INF, EPS_FIRST);

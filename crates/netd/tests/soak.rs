@@ -224,7 +224,15 @@ fn large_domain_frames_stay_under_the_wire_caps_and_fold_every_report() {
     // The same round in process gives the same estimate.
     let cfg = ldp_client::ClientConfig::for_method(method, k, 2.0, 1.0).unwrap();
     let mut pool = ldp_client::ClientPool::with_obs(cfg, lcfg.seed, users, &obs).unwrap();
-    let mut agg = ldp_runtime::ShardedAggregator::for_method(method, k, 2.0, 1.0, 2).unwrap();
+    let mut agg = ldp_runtime::ShardedAggregator::for_method_obs(
+        method,
+        k,
+        2.0,
+        1.0,
+        2,
+        &MetricsRegistry::disabled(),
+    )
+    .unwrap();
     let values = ldp_netd::round_values(lcfg.seed, 0, users, k);
     pool.sanitize_round_into_shards(&values, agg.shards_mut());
     let want = agg.finish_round();

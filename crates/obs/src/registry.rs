@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::export::{MetricSample, MetricValue, ObsSnapshot};
@@ -215,21 +215,18 @@ struct Inner {
     slots: Mutex<BTreeMap<Key, Slot>>,
 }
 
-/// A process-wide (or per-run) collection of instruments.
+/// A per-run collection of instruments.
 ///
 /// Cloning is cheap and all clones share the same instruments. Use
-/// [`MetricsRegistry::global`] for the conventional process-wide registry,
-/// [`MetricsRegistry::new`] for an isolated one (the CLI gives each
-/// `collect` run its own so snapshots are a pure function of the input),
+/// [`MetricsRegistry::new`] for a recording registry (the CLI gives each
+/// `collect` run its own so snapshots are a pure function of the input)
 /// and [`MetricsRegistry::disabled`] to hand instrumented code no-op
-/// handles.
+/// handles. There is no process-wide registry: every instrumented
+/// constructor takes the registry it records into.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     inner: Option<Arc<Inner>>,
 }
-
-/// The process-wide registry backing [`MetricsRegistry::global`].
-static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
 
 impl MetricsRegistry {
     /// A fresh, enabled, isolated registry.
@@ -242,11 +239,6 @@ impl MetricsRegistry {
     /// A registry whose handles are all no-ops.
     pub fn disabled() -> Self {
         Self { inner: None }
-    }
-
-    /// A clone of the process-wide registry (created on first use).
-    pub fn global() -> Self {
-        GLOBAL.get_or_init(Self::new).clone()
     }
 
     /// Whether this registry actually records anything.
@@ -499,14 +491,5 @@ mod tests {
         let reg = MetricsRegistry::new();
         let _c = reg.counter("ldp.test.unit.clash");
         let _g = reg.gauge("ldp.test.unit.clash");
-    }
-
-    #[test]
-    fn global_registry_is_shared() {
-        let a = MetricsRegistry::global();
-        let b = MetricsRegistry::global();
-        let c = a.counter("ldp.test.registry.global_probe");
-        c.inc();
-        assert!(b.counter("ldp.test.registry.global_probe").get() >= 1);
     }
 }

@@ -106,19 +106,15 @@ pub struct Shard {
 }
 
 impl Shard {
-    fn new(dim: usize) -> Self {
+    /// Creates an empty shard of aggregation dimension `dim`. Callers
+    /// outside a [`ShardedAggregator`] (such as `ldp_ingest` workers)
+    /// accumulate into their own and merge it back in via
+    /// [`ShardedAggregator::push_batch`].
+    pub fn with_dim(dim: usize) -> Self {
         Self {
             counts: vec![0; dim],
             reports: 0,
         }
-    }
-
-    /// Creates an empty shard of aggregation dimension `dim`, for callers
-    /// (such as `ldp_ingest` workers) that accumulate shard state outside a
-    /// [`ShardedAggregator`] and merge it back in via
-    /// [`ShardedAggregator::push_batch`].
-    pub fn with_dim(dim: usize) -> Self {
-        Self::new(dim)
     }
 
     /// Folds one report's support set in: every listed index gains a count.
@@ -296,29 +292,8 @@ impl ShardedAggregator {
     /// Creates an aggregator for `method` over the domain `[0, k)` at
     /// longitudinal budget `eps_inf` with first-report budget `eps_first`,
     /// spreading ingestion over `shards` shards (clamped to ≥ 1).
-    ///
-    /// Telemetry lands in the process-wide [`MetricsRegistry::global`];
-    /// use [`Self::for_method_obs`] to direct it elsewhere.
-    pub fn for_method(
-        method: Method,
-        k: u64,
-        eps_inf: f64,
-        eps_first: f64,
-        shards: usize,
-    ) -> Result<Self, ParamError> {
-        Self::for_method_obs(
-            method,
-            k,
-            eps_inf,
-            eps_first,
-            shards,
-            &MetricsRegistry::global(),
-        )
-    }
-
-    /// [`Self::for_method`] with an explicit telemetry registry (the CLI
-    /// and harness pass a fresh one per run for isolation; pass
-    /// [`MetricsRegistry::disabled`] to make every instrument a no-op).
+    /// Telemetry records into `obs` (pass [`MetricsRegistry::disabled`]
+    /// when no snapshot is ever read).
     pub fn for_method_obs(
         method: Method,
         k: u64,
@@ -327,16 +302,17 @@ impl ShardedAggregator {
         shards: usize,
         obs: &MetricsRegistry,
     ) -> Result<Self, ParamError> {
-        let (estimator, dim, reduced_domain, k_binned, loloha_params, dbit) = match method {
+        let dim = method.dim(k);
+        let (estimator, reduced_domain, k_binned, loloha_params, dbit) = match method {
             Method::Rappor | Method::LOsue | Method::LOue | Method::LSoue => {
                 let chain = method.ue_chain().expect("UE-chained method");
                 let chain = ue_chain_params(chain, eps_inf, eps_first)?;
                 let est = Estimator::Lue(LueServer::new(k, chain)?);
-                (est, k as usize, None, true, None, None)
+                (est, None, true, None, None)
             }
             Method::LGrr => {
                 let est = Estimator::Lgrr(LgrrServer::new(k, eps_inf, eps_first)?);
-                (est, k as usize, None, true, None, None)
+                (est, None, true, None, None)
             }
             Method::BiLoloha | Method::OLoloha => {
                 let params = if method == Method::BiLoloha {
@@ -345,19 +321,19 @@ impl ShardedAggregator {
                     LolohaParams::optimal(eps_inf, eps_first)?
                 };
                 let est = Estimator::Loloha(LolohaServer::new(k, params)?);
-                (est, k as usize, Some(params.g()), true, Some(params), None)
+                (est, Some(params.g()), true, Some(params), None)
             }
             Method::OneBitFlip | Method::BBitFlip => {
                 let b = dbit_buckets(k);
                 let d = if method == Method::OneBitFlip { 1 } else { b };
                 BucketMapper::new(k, b).ok_or(ParamError::InvalidBuckets { b, d, k })?;
                 let est = Estimator::DBit(DBitFlipServer::new(b, d, eps_inf)?);
-                (est, b as usize, Some(b), b as u64 == k, None, Some((b, d)))
+                (est, Some(b), b as u64 == k, None, Some((b, d)))
             }
         };
         Ok(Self {
             estimator,
-            shards: vec![Shard::new(dim); shards.max(1)],
+            shards: vec![Shard::with_dim(dim); shards.max(1)],
             dim,
             k,
             reduced_domain,
@@ -369,15 +345,8 @@ impl ShardedAggregator {
     }
 
     /// Creates a LOLOHA aggregator from explicit parameters (the CLI's and
-    /// examples' path, where `g` was chosen outside the [`Method`] enum).
-    ///
-    /// Telemetry lands in the process-wide [`MetricsRegistry::global`];
-    /// use [`Self::for_loloha_obs`] to direct it elsewhere.
-    pub fn for_loloha(k: u64, params: LolohaParams, shards: usize) -> Result<Self, ParamError> {
-        Self::for_loloha_obs(k, params, shards, &MetricsRegistry::global())
-    }
-
-    /// [`Self::for_loloha`] with an explicit telemetry registry.
+    /// examples' path, where `g` was chosen outside the [`Method`] enum),
+    /// recording telemetry into `obs`.
     pub fn for_loloha_obs(
         k: u64,
         params: LolohaParams,
@@ -386,7 +355,7 @@ impl ShardedAggregator {
     ) -> Result<Self, ParamError> {
         Ok(Self {
             estimator: Estimator::Loloha(LolohaServer::new(k, params)?),
-            shards: vec![Shard::new(k as usize); shards.max(1)],
+            shards: vec![Shard::with_dim(k as usize); shards.max(1)],
             dim: k as usize,
             k,
             reduced_domain: Some(params.g()),
@@ -552,6 +521,11 @@ impl ShardedAggregator {
 mod tests {
     use super::*;
 
+    /// A telemetry registry that records nothing.
+    fn off() -> MetricsRegistry {
+        MetricsRegistry::disabled()
+    }
+
     fn batches(dim: usize, n: usize, seed: u64) -> Vec<(Vec<u64>, u64)> {
         // Deterministic small pseudo-random batches without an RNG dep.
         let mut out = Vec::new();
@@ -593,7 +567,8 @@ mod tests {
         let mut base = None;
         for shards in [1usize, 3, 8] {
             let mut agg =
-                ShardedAggregator::for_method(Method::Rappor, 12, 1.0, 0.5, shards).unwrap();
+                ShardedAggregator::for_method_obs(Method::Rappor, 12, 1.0, 0.5, shards, &off())
+                    .unwrap();
             let snap = agg.one_shot(&refs);
             match &base {
                 None => base = Some(snap),
@@ -613,7 +588,8 @@ mod tests {
 
     #[test]
     fn snapshot_does_not_disturb_the_round() {
-        let mut agg = ShardedAggregator::for_method(Method::LGrr, 8, 2.0, 1.0, 2).unwrap();
+        let mut agg =
+            ShardedAggregator::for_method_obs(Method::LGrr, 8, 2.0, 1.0, 2, &off()).unwrap();
         agg.push_report(0, [3usize]);
         agg.push_report(1, [5usize]);
         let snap = agg.snapshot();
@@ -631,7 +607,8 @@ mod tests {
 
     #[test]
     fn snapshot_matches_finish_round_estimate() {
-        let mut agg = ShardedAggregator::for_method(Method::LOsue, 10, 1.5, 0.6, 3).unwrap();
+        let mut agg =
+            ShardedAggregator::for_method_obs(Method::LOsue, 10, 1.5, 0.6, 3, &off()).unwrap();
         for i in 0..50usize {
             agg.push_report(i % 3, [i % 10, (i * 3) % 10]);
         }
@@ -646,7 +623,8 @@ mod tests {
 
     #[test]
     fn empty_round_estimates_zero() {
-        let mut agg = ShardedAggregator::for_method(Method::BiLoloha, 6, 1.0, 0.5, 2).unwrap();
+        let mut agg =
+            ShardedAggregator::for_method_obs(Method::BiLoloha, 6, 1.0, 0.5, 2, &off()).unwrap();
         let out = agg.finish_round();
         assert_eq!(out.reports, 0);
         assert!(out.estimate.iter().all(|&e| e == 0.0));
@@ -656,13 +634,15 @@ mod tests {
     #[test]
     fn dbit_dimension_is_bucket_count() {
         // k = 1412 (DB_MT): b = 353 buckets, not k-binned.
-        let agg = ShardedAggregator::for_method(Method::BBitFlip, 1412, 1.0, 0.5, 1).unwrap();
+        let agg =
+            ShardedAggregator::for_method_obs(Method::BBitFlip, 1412, 1.0, 0.5, 1, &off()).unwrap();
         assert_eq!(agg.dim(), 353);
         assert_eq!(agg.reduced_domain(), Some(353));
         assert!(!agg.k_binned());
         assert_eq!(agg.dbit_config(), Some((353, 353)));
         // Small domain: b = k, comparable.
-        let agg = ShardedAggregator::for_method(Method::OneBitFlip, 24, 1.0, 0.5, 1).unwrap();
+        let agg =
+            ShardedAggregator::for_method_obs(Method::OneBitFlip, 24, 1.0, 0.5, 1, &off()).unwrap();
         assert_eq!(agg.dim(), 24);
         assert!(agg.k_binned());
         assert_eq!(agg.dbit_config(), Some((24, 1)));
@@ -670,12 +650,13 @@ mod tests {
 
     #[test]
     fn loloha_methods_expose_params() {
-        let agg = ShardedAggregator::for_method(Method::OLoloha, 100, 4.0, 2.0, 1).unwrap();
+        let agg =
+            ShardedAggregator::for_method_obs(Method::OLoloha, 100, 4.0, 2.0, 1, &off()).unwrap();
         let params = agg.loloha_params().expect("LOLOHA-backed");
         assert_eq!(agg.reduced_domain(), Some(params.g()));
         assert!(agg.k_binned());
         // Direct parameterization agrees with the Method-resolved one.
-        let direct = ShardedAggregator::for_loloha(100, params, 4).unwrap();
+        let direct = ShardedAggregator::for_loloha_obs(100, params, 4, &off()).unwrap();
         assert_eq!(direct.dim(), 100);
         assert_eq!(direct.shard_count(), 4);
         assert_eq!(direct.reduced_domain(), Some(params.g()));
@@ -683,17 +664,20 @@ mod tests {
 
     #[test]
     fn shard_count_clamps_to_one() {
-        let agg = ShardedAggregator::for_method(Method::Rappor, 8, 1.0, 0.5, 0).unwrap();
+        let agg =
+            ShardedAggregator::for_method_obs(Method::Rappor, 8, 1.0, 0.5, 0, &off()).unwrap();
         assert_eq!(agg.shard_count(), 1);
     }
 
     #[test]
     fn push_batch_and_push_report_agree() {
-        let mut by_report = ShardedAggregator::for_method(Method::LGrr, 5, 1.0, 0.4, 2).unwrap();
+        let mut by_report =
+            ShardedAggregator::for_method_obs(Method::LGrr, 5, 1.0, 0.4, 2, &off()).unwrap();
         by_report.push_report(0, [1usize]);
         by_report.push_report(1, [1usize]);
         by_report.push_report(1, [4usize]);
-        let mut by_batch = ShardedAggregator::for_method(Method::LGrr, 5, 1.0, 0.4, 2).unwrap();
+        let mut by_batch =
+            ShardedAggregator::for_method_obs(Method::LGrr, 5, 1.0, 0.4, 2, &off()).unwrap();
         by_batch.push_batch(0, &[0, 2, 0, 0, 1], 3);
         let a = by_report.finish_round();
         let b = by_batch.finish_round();

@@ -97,6 +97,18 @@ impl Method {
         matches!(self, Method::OneBitFlip | Method::BBitFlip)
     }
 
+    /// The aggregation dimension over the domain `[0, k)`: `k` for the
+    /// k-binned protocols, [`dbit_buckets`]`(k)` for dBitFlipPM. The one
+    /// place this rule lives; aggregators and remote workers that must
+    /// agree on the dimension without building an aggregator both read it.
+    pub fn dim(&self, k: u64) -> usize {
+        if self.single_round() {
+            dbit_buckets(k) as usize
+        } else {
+            k as usize
+        }
+    }
+
     /// The UE chain backing this method, if it is a UE-chained protocol.
     pub fn ue_chain(&self) -> Option<UeChain> {
         match self {
@@ -173,6 +185,18 @@ mod tests {
             Method::BBitFlip,
         ] {
             assert_eq!(m.ue_chain(), None, "{m:?}");
+        }
+    }
+
+    #[test]
+    fn dim_matches_the_aggregator_for_every_method() {
+        let reg = ldp_obs::MetricsRegistry::disabled();
+        for k in [24u64, 1412] {
+            for m in Method::all() {
+                let agg = crate::ShardedAggregator::for_method_obs(m, k, 2.0, 1.0, 1, &reg)
+                    .expect("valid cell");
+                assert_eq!(m.dim(k), agg.dim(), "{m:?} at k = {k}");
+            }
         }
     }
 

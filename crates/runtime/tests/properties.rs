@@ -2,9 +2,15 @@
 //! must produce bit-identical merged counts and estimates no matter how
 //! many shards it is spread over, for every protocol the runtime serves.
 
+use ldp_obs::MetricsRegistry;
 use ldp_rand::{derive_rng, uniform_u64};
 use ldp_runtime::{Method, Shard, ShardedAggregator};
 use proptest::prelude::*;
+
+/// A telemetry registry that records nothing.
+fn off() -> MetricsRegistry {
+    MetricsRegistry::disabled()
+}
 
 fn arb_method() -> impl Strategy<Value = Method> {
     prop_oneof![
@@ -44,7 +50,7 @@ fn run_stream(
     shards: usize,
     stream: &[Vec<usize>],
 ) -> ldp_runtime::AggregateSnapshot {
-    let mut agg = ShardedAggregator::for_method(method, k, eps_inf, eps_first, shards)
+    let mut agg = ShardedAggregator::for_method_obs(method, k, eps_inf, eps_first, shards, &off())
         .expect("caller pre-validated the cell");
     for (i, support) in stream.iter().enumerate() {
         agg.push_report(i % agg.shard_count(), support.iter().copied());
@@ -68,7 +74,7 @@ proptest! {
         // Some cells are invalid by construction (e.g. OUE-style IRR cannot
         // realize eps_first close to eps_inf); skip those, they are covered
         // by the parameter-validation suites.
-        let probe = ShardedAggregator::for_method(method, k, eps_inf, eps_first, 1);
+        let probe = ShardedAggregator::for_method_obs(method, k, eps_inf, eps_first, 1, &off());
         prop_assume!(probe.is_ok());
         let dim = probe.unwrap().dim();
 
@@ -97,14 +103,14 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let eps_first = 0.5 * eps_inf;
-        let probe = ShardedAggregator::for_method(method, k, eps_inf, eps_first, 1);
+        let probe = ShardedAggregator::for_method_obs(method, k, eps_inf, eps_first, 1, &off());
         prop_assume!(probe.is_ok());
         let dim = probe.unwrap().dim();
 
         let stream = report_stream(dim, n_reports, seed);
         let prefix = n_reports / 2;
 
-        let mut streaming = ShardedAggregator::for_method(method, k, eps_inf, eps_first, 4)
+        let mut streaming = ShardedAggregator::for_method_obs(method, k, eps_inf, eps_first, 4, &off())
             .expect("validated above");
         for (i, support) in stream[..prefix].iter().enumerate() {
             streaming.push_report(i % 4, support.iter().copied());

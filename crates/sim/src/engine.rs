@@ -7,29 +7,22 @@
 //! The engine is a thin driver: all per-user client state lives in an
 //! [`ldp_client::ClientPool`] (constructed through the method registry, so
 //! there is no per-method dispatch here at all) and all aggregation in
-//! [`ldp_runtime::ShardedAggregator`]. Two collection paths agree
-//! bit-for-bit:
-//!
-//! * [`run_experiment`] — the pool's users are partitioned into chunks,
-//!   each worker thread sanitizing one chunk straight into its own
-//!   aggregator shard, and the aggregator merges and estimates at the end
-//!   of every round.
-//! * [`run_experiment_piped`] — the same chunks submit report envelopes
-//!   through the concurrent `ldp_ingest` pipeline, whose shard workers
-//!   accumulate while sanitization is still running (the production
-//!   collector topology).
+//! [`ldp_runtime::ShardedAggregator`]. The pool's users are partitioned
+//! into chunks, each worker thread sanitizing one chunk straight into its
+//! own aggregator shard, and the aggregator merges and estimates at the
+//! end of every round. No snapshot of a sweep's telemetry is ever read,
+//! so the pool and the aggregator record into a disabled registry.
 //!
 //! Each user owns an independent RNG stream derived from `(seed, user)`
 //! and the shard merge is an order-independent sum, so results are
-//! bit-identical regardless of the thread/shard/worker count and of which
-//! path collected the reports.
+//! bit-identical regardless of the thread/shard count.
 
 use crate::config::{ExperimentConfig, Method};
 use crate::detection::DetectionSummary;
 use crate::metrics::mse;
 use ldp_client::{ClientConfig, ClientPool};
 use ldp_datasets::{empirical_histogram, DatasetSpec};
-use ldp_ingest::IngestPipeline;
+use ldp_obs::MetricsRegistry;
 use ldp_primitives::error::ParamError;
 use ldp_runtime::ShardedAggregator;
 
@@ -59,7 +52,7 @@ pub struct RunMetrics {
 /// the engine.
 fn build_pool(cfg: &ExperimentConfig, k: u64, n: usize) -> Result<ClientPool, ParamError> {
     let client_cfg = ClientConfig::for_method(cfg.method, k, cfg.eps_inf, cfg.eps_first())?;
-    ClientPool::new(client_cfg, cfg.seed, n)
+    ClientPool::with_obs(client_cfg, cfg.seed, n, &MetricsRegistry::disabled())
 }
 
 /// Final per-user metrics, read in fixed user order (independent of the
@@ -114,8 +107,14 @@ pub fn run_experiment(
 
     // One aggregator shard per worker thread.
     let threads = cfg.effective_threads().clamp(1, n.max(1));
-    let mut agg =
-        ShardedAggregator::for_method(cfg.method, k, cfg.eps_inf, cfg.eps_first(), threads)?;
+    let mut agg = ShardedAggregator::for_method_obs(
+        cfg.method,
+        k,
+        cfg.eps_inf,
+        cfg.eps_first(),
+        threads,
+        &MetricsRegistry::disabled(),
+    )?;
     let mut pool = build_pool(cfg, k, n)?;
 
     let mut data = dataset.instantiate(cfg.seed);
@@ -138,56 +137,6 @@ pub fn run_experiment(
     }
 
     Ok(finalize_metrics(&pool, cfg, n, mse_sum, mse_rounds, &agg))
-}
-
-/// Runs one experiment cell through the concurrent ingestion pipeline
-/// (`ldp_ingest`): the client pool sanitizes its users on scoped threads
-/// and submits keyed envelopes to the pipeline's shard workers, which
-/// accumulate concurrently with sanitization.
-///
-/// Bit-identical to [`run_experiment`] for every method and thread count:
-/// each user owns a `(seed, user)`-derived RNG stream, routing is a stable
-/// hash of the user index, and both shard accumulation and the merge are
-/// order-independent sums.
-pub fn run_experiment_piped(
-    dataset: &dyn DatasetSpec,
-    cfg: &ExperimentConfig,
-) -> Result<RunMetrics, ParamError> {
-    let k = dataset.k();
-    let n = dataset.n();
-    let tau = dataset.tau();
-
-    let workers = cfg.effective_threads().clamp(1, n.max(1));
-    let mut pipe =
-        IngestPipeline::for_method(cfg.method, k, cfg.eps_inf, cfg.eps_first(), workers)?;
-    let mut pool = build_pool(cfg, k, n)?;
-
-    let mut data = dataset.instantiate(cfg.seed);
-    let mut mse_sum = 0.0;
-    let mut mse_rounds = 0usize;
-
-    for _t in 0..tau {
-        let values = data.step();
-        assert_eq!(values.len(), n, "dataset produced wrong population size");
-        pool.sanitize_round(values, workers, &pipe.handle())
-            .expect("ingest worker lost");
-        let round = pipe.finish_round().expect("ingest worker lost");
-        debug_assert_eq!(round.reports, n as u64, "every user reports every round");
-        if pipe.aggregator().k_binned() {
-            let truth = empirical_histogram(values, k);
-            mse_sum += mse(&round.estimate, &truth);
-            mse_rounds += 1;
-        }
-    }
-
-    Ok(finalize_metrics(
-        &pool,
-        cfg,
-        n,
-        mse_sum,
-        mse_rounds,
-        pipe.aggregator(),
-    ))
 }
 
 #[cfg(test)]
@@ -242,44 +191,6 @@ mod tests {
                     m.distinct_avg.to_bits(),
                     "{method:?} distinct at {threads} threads"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn piped_engine_is_bit_identical_for_every_method() {
-        // The ingest-pipeline collection path must agree with the direct
-        // shard-filling path bit-for-bit, for all nine protocol variants
-        // and across worker counts.
-        let ds = SynDataset::new(16, 240, 3, 0.3);
-        for method in Method::all() {
-            let base = ExperimentConfig::new(method, 2.0, 0.5, 5).unwrap();
-            let reference = run_experiment(&ds, &base.with_threads(1)).unwrap();
-            for threads in [1usize, 4] {
-                let m = run_experiment_piped(&ds, &base.with_threads(threads)).unwrap();
-                assert_eq!(
-                    reference.mse_avg.to_bits(),
-                    m.mse_avg.to_bits(),
-                    "{method:?} mse piped at {threads} workers"
-                );
-                assert_eq!(
-                    reference.eps_avg.to_bits(),
-                    m.eps_avg.to_bits(),
-                    "{method:?} eps piped at {threads} workers"
-                );
-                assert_eq!(
-                    reference.eps_max.to_bits(),
-                    m.eps_max.to_bits(),
-                    "{method:?} eps_max piped at {threads} workers"
-                );
-                assert_eq!(
-                    reference.distinct_avg.to_bits(),
-                    m.distinct_avg.to_bits(),
-                    "{method:?} distinct piped at {threads} workers"
-                );
-                if let (Some(a), Some(b)) = (&reference.detection, &m.detection) {
-                    assert_eq!(a.rate().to_bits(), b.rate().to_bits(), "{method:?}");
-                }
             }
         }
     }

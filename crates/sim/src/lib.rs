@@ -30,5 +30,5 @@ pub mod metrics;
 pub mod table;
 
 pub use config::{ExperimentConfig, Method};
-pub use engine::{run_experiment, run_experiment_piped, RunMetrics};
+pub use engine::{run_experiment, RunMetrics};
 pub use metrics::{mean, mse, std_dev, Summary};

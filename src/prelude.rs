@@ -11,7 +11,8 @@
 //! use loloha_suite::prelude::*;
 //!
 //! let params = LolohaParams::bi(1.0, 0.5).unwrap();
-//! let agg = ShardedAggregator::for_loloha(100, params, 4).unwrap();
+//! let obs = MetricsRegistry::disabled();
+//! let agg = ShardedAggregator::for_loloha_obs(100, params, 4, &obs).unwrap();
 //! assert_eq!(agg.shard_count(), 4);
 //! ```
 
@@ -67,7 +68,7 @@ pub use ldp_datasets::{
     empirical_histogram, paper_datasets, scaled_datasets, AdultLikeDataset, DatasetSpec,
     FolkLikeDataset, SynDataset,
 };
-pub use ldp_sim::{run_experiment, run_experiment_piped, ExperimentConfig, RunMetrics};
+pub use ldp_sim::{run_experiment, ExperimentConfig, RunMetrics};
 
 // The resumable experiment harness (accuracy sweeps, checkpoints).
 pub use ldp_harness::{cell_seed, CellResult, ExperimentRunner, RunnerConfig};

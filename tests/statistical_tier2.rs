@@ -273,7 +273,9 @@ fn loloha_variance_matches_eq5_and_optimal_g_minimizes_it() {
     truth.push(0.0); // value k-1 never occurs
 
     let estimates = run_trials(n, 0x10A, &truth, |rng, values| {
-        let mut agg = ShardedAggregator::for_loloha(k as u64, params, 3).expect("valid");
+        let mut agg =
+            ShardedAggregator::for_loloha_obs(k as u64, params, 3, &MetricsRegistry::disabled())
+                .expect("valid");
         for (i, &v) in values.iter().enumerate() {
             let mut client =
                 LolohaClient::new(&family, k as u64, params, rng).expect("valid client");
@@ -359,7 +361,9 @@ fn loloha_collision_terms_match_exact_variance_at_f_above_zero() {
     let truth = truth(k);
 
     let estimates = run_trials(n, 0xF0C0, &truth, |rng, values| {
-        let mut agg = ShardedAggregator::for_loloha(k as u64, params, 3).expect("valid");
+        let mut agg =
+            ShardedAggregator::for_loloha_obs(k as u64, params, 3, &MetricsRegistry::disabled())
+                .expect("valid");
         for (i, &v) in values.iter().enumerate() {
             let mut client =
                 LolohaClient::new(&family, k as u64, params, rng).expect("valid client");

@@ -1,9 +1,18 @@
 //! System-level property tests: random small configurations through the
 //! full pipeline must respect the protocol invariants.
 
-use loloha_suite::datasets::SynDataset;
-use loloha_suite::sim::{run_experiment, run_experiment_piped, ExperimentConfig, Method};
+use loloha_suite::client::{ClientConfig, ClientPool};
+use loloha_suite::datasets::{DatasetSpec, SynDataset};
+use loloha_suite::ingest::IngestPipeline;
+use loloha_suite::obs::MetricsRegistry;
+use loloha_suite::runtime::{AggregateSnapshot, ShardedAggregator};
+use loloha_suite::sim::{run_experiment, ExperimentConfig, Method};
 use proptest::prelude::*;
+
+/// A telemetry registry that records nothing.
+fn off() -> MetricsRegistry {
+    MetricsRegistry::disabled()
+}
 
 fn arb_method() -> impl Strategy<Value = Method> {
     prop_oneof![
@@ -115,9 +124,10 @@ proptest! {
     }
 
     /// Collecting through the concurrent `ldp_ingest` pipeline is
-    /// bit-identical to the direct shard-filling engine path, for every
-    /// method and worker count (the subsystem's determinism contract at
-    /// the whole-system level).
+    /// bit-identical to the direct shard-filling path, for every method
+    /// and worker count (the subsystem's determinism contract at the
+    /// whole-system level): the same round counts and estimates, and the
+    /// same per-user privacy spend, memoized classes and detection state.
     #[test]
     fn piped_collection_is_bit_identical_to_direct(
         method in arb_method(),
@@ -127,30 +137,59 @@ proptest! {
     ) {
         let ds = SynDataset::new(k, 180, 3, 0.3);
         let base = ExperimentConfig::new(method, eps_inf, 0.3, seed).expect("valid");
-        let reference = match run_experiment(&ds, &base.with_threads(1)) {
-            Ok(m) => m,
-            Err(_) => return Ok(()), // infeasible cells covered elsewhere
+        let eps_first = base.eps_first();
+        let Ok(cfg) = ClientConfig::for_method(method, k, eps_inf, eps_first) else {
+            return Ok(()); // infeasible cells covered elsewhere
         };
-        // {1, 4} are pinned per-method in the engine and ingest suites;
-        // the remaining counts keep tier-1 wall time in budget here.
+        let n = ds.n();
+        let rounds: Vec<Vec<u64>> = {
+            let mut data = ds.instantiate(seed);
+            (0..ds.tau()).map(|_| data.step().to_vec()).collect()
+        };
+        let mut direct = ClientPool::with_obs(cfg, seed, n, &off()).expect("valid");
+        let mut agg = ShardedAggregator::for_method_obs(method, k, eps_inf, eps_first, 1, &off())
+            .expect("valid");
+        let want: Vec<AggregateSnapshot> = rounds
+            .iter()
+            .map(|values| {
+                direct.sanitize_round_into_shards(values, agg.shards_mut());
+                agg.finish_round()
+            })
+            .collect();
+        // {1, 4} are pinned per-method in the client pool's suite; the
+        // remaining counts keep tier-1 wall time in budget here.
         for workers in [2usize, 8] {
-            let m = run_experiment_piped(&ds, &base.with_threads(workers)).expect("runnable");
-            prop_assert_eq!(
-                reference.mse_avg.to_bits(), m.mse_avg.to_bits(),
-                "{:?} piped mse differs at {} workers", method, workers
-            );
-            prop_assert_eq!(
-                reference.eps_avg.to_bits(), m.eps_avg.to_bits(),
-                "{:?} piped eps_avg differs at {} workers", method, workers
-            );
-            prop_assert_eq!(
-                reference.eps_max.to_bits(), m.eps_max.to_bits(),
-                "{:?} piped eps_max differs at {} workers", method, workers
-            );
-            prop_assert_eq!(
-                reference.distinct_avg.to_bits(), m.distinct_avg.to_bits(),
-                "{:?} piped distinct_avg differs at {} workers", method, workers
-            );
+            let mut piped = ClientPool::with_obs(cfg, seed, n, &off()).expect("valid");
+            let mut pipe =
+                IngestPipeline::for_method_obs(method, k, eps_inf, eps_first, workers, &off())
+                    .expect("valid");
+            for (t, values) in rounds.iter().enumerate() {
+                piped.sanitize_round(values, workers, &pipe.handle()).expect("ingest worker lost");
+                let got = pipe.finish_round().expect("ingest worker lost");
+                prop_assert_eq!(
+                    &want[t].counts, &got.counts,
+                    "{:?} piped counts differ at {} workers, round {}", method, workers, t
+                );
+                let bits = |e: &[f64]| e.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(
+                    bits(&want[t].estimate), bits(&got.estimate),
+                    "{:?} piped estimate differs at {} workers, round {}", method, workers, t
+                );
+            }
+            for (u, (a, b)) in direct.states().zip(piped.states()).enumerate() {
+                prop_assert_eq!(
+                    a.privacy_spent().to_bits(), b.privacy_spent().to_bits(),
+                    "{:?} user {} privacy_spent differs at {} workers", method, u, workers
+                );
+                prop_assert_eq!(
+                    a.distinct_classes(), b.distinct_classes(),
+                    "{:?} user {} distinct_classes differs at {} workers", method, u, workers
+                );
+                prop_assert_eq!(
+                    a.detection(), b.detection(),
+                    "{:?} user {} detection differs at {} workers", method, u, workers
+                );
+            }
         }
     }
 
@@ -194,33 +233,33 @@ fn dual_checkpoint_resume_is_bit_identical_at_system_level() {
         let mid = n / 2;
 
         let cfg = ClientConfig::for_method(method, k, 2.0, 1.0).unwrap();
-        let mut ref_pool = ClientPool::new(cfg, seed, n).unwrap();
-        let mut ref_pipe = IngestPipeline::for_method(method, k, 2.0, 1.0, 2).unwrap();
+        let mut ref_pool = ClientPool::with_obs(cfg, seed, n, &off()).unwrap();
+        let mut ref_pipe = IngestPipeline::for_method_obs(method, k, 2.0, 1.0, 2, &off()).unwrap();
         let h = ref_pipe.handle();
         ref_pool.sanitize_round(&values, 2, &h).unwrap();
         drop(h);
         let want = ref_pipe.finish_round().unwrap();
 
         // Interrupted: half the round, dual save, crash, dual restore.
-        let mut pool = ClientPool::new(cfg, seed, n).unwrap();
-        let pipe = IngestPipeline::for_method(method, k, 2.0, 1.0, 3).unwrap();
+        let mut pool = ClientPool::with_obs(cfg, seed, n, &off()).unwrap();
+        let pipe = IngestPipeline::for_method_obs(method, k, 2.0, 1.0, 3, &off()).unwrap();
         let h = pipe.handle();
         pool.sanitize_assignments(&assigns[..mid], 3, &h).unwrap();
         drop(h);
-        ClientStore::new(&client_path)
+        ClientStore::new(&client_path, &off())
             .save(&pool.checkpoint())
             .unwrap();
-        ShardStore::new(&shard_path)
+        ShardStore::with_obs(&shard_path, &off())
             .save(&pipe.checkpoint().unwrap())
             .unwrap();
         drop(pool);
         drop(pipe);
 
-        let mut pool = ClientPool::new(cfg, seed, n).unwrap();
-        pool.restore(&ClientStore::new(&client_path).load().unwrap())
+        let mut pool = ClientPool::with_obs(cfg, seed, n, &off()).unwrap();
+        pool.restore(&ClientStore::new(&client_path, &off()).load().unwrap())
             .unwrap();
-        let mut pipe = IngestPipeline::for_method(method, k, 2.0, 1.0, 4).unwrap();
-        pipe.restore(&ShardStore::new(&shard_path).load().unwrap())
+        let mut pipe = IngestPipeline::for_method_obs(method, k, 2.0, 1.0, 4, &off()).unwrap();
+        pipe.restore(&ShardStore::with_obs(&shard_path, &off()).load().unwrap())
             .unwrap();
         let h = pipe.handle();
         pool.sanitize_assignments(&assigns[mid..], 4, &h).unwrap();
