@@ -36,6 +36,12 @@
 //! checkpoint, and exits. [`Collectd::kill_hard`] is the test hook for
 //! the other drill arm: threads stop where they stand and *no* final
 //! checkpoint is taken, simulating `kill -9` up to process boundaries.
+//!
+//! The accept loop blocks in `accept`, so a handshake never waits on a
+//! timer. One watcher thread polls every latch (SIGTERM can only raise
+//! an atomic) and turns the first raised one into a single connection
+//! to the daemon's own address; the loop sees the latch when that
+//! connection returns from `accept`, and neither counts nor serves it.
 
 use crate::conn::{Conn, Polled};
 use crate::deadline::Deadline;
@@ -47,16 +53,16 @@ use ldp_ingest::{BatchSubmitter, IngestHandle, IngestPipeline, Report, DEFAULT_B
 use ldp_obs::{Gauge, Histogram, MetricsRegistry, Span};
 use ldp_runtime::{Method, ShardedAggregator};
 use std::collections::BTreeMap;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Poll granularity for the accept loop and per-connection reads: the
-/// latency bound on noticing drain/kill/signal latches.
+/// Poll granularity for per-connection reads, the latch watcher and the
+/// accept loop's error back-off: the latency bound on noticing
+/// drain/kill/signal latches.
 const TICK: Duration = Duration::from_millis(10);
 
 /// Checkpoint file name inside [`DaemonConfig::dir`].
@@ -283,14 +289,18 @@ impl Collectd {
         let local_addr = listener
             .local_addr()
             .map_err(|e| NetError::Io(e.to_string()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| NetError::Io(e.to_string()))?;
 
         let loop_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
             .name("collectd-accept".into())
-            .spawn(move || accept_loop(&loop_shared, &listener, resumed))
+            .spawn(move || {
+                // Scoped, so the watcher ends while the listener is still
+                // bound: a late wake never reaches a socket reusing the port.
+                std::thread::scope(|s| {
+                    s.spawn(|| wake_on_stop(&loop_shared, local_addr));
+                    accept_loop(&loop_shared, &listener, resumed)
+                })
+            })
             .map_err(|e| NetError::Io(e.to_string()))?;
 
         Ok(Self {
@@ -366,14 +376,35 @@ fn build_pipeline(cfg: &DaemonConfig, obs: &MetricsRegistry) -> Result<IngestPip
     ))
 }
 
+/// The latch watcher: waits for any stop latch, then wakes the accept
+/// loop out of its blocking `accept` with one connection to `addr`.
+fn wake_on_stop(shared: &Shared, addr: SocketAddr) {
+    while !shared.stopping() {
+        std::thread::sleep(TICK);
+    }
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    // A full backlog means `accept` has work and will see the latch anyway.
+    let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+}
+
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener, resumed: bool) -> DaemonReport {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     loop {
+        let accepted = listener.accept();
+        // Checked before counting: the watcher's wake connection (or a
+        // peer racing the drain) is neither counted nor served.
         if shared.stopping() {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
+                conns.retain(|j| !j.is_finished());
                 shared.connections_served.fetch_add(1, Ordering::SeqCst);
                 let n = shared.live_conns.fetch_add(1, Ordering::SeqCst) + 1;
                 shared.conn_gauge.set(n);
@@ -388,10 +419,6 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener, resumed: bool) -> D
                 {
                     conns.push(join);
                 }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(TICK);
-                conns.retain(|j| !j.is_finished());
             }
             Err(_) => std::thread::sleep(TICK),
         }
@@ -655,7 +682,21 @@ fn handle_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loadgen::NetSink;
     use ldp_ingest::ReportBatch;
+    use std::sync::mpsc;
+    use std::time::Instant;
+
+    /// Runs `f` on a helper thread and returns its result, failing the
+    /// test if it takes longer than 5 s (a daemon that misses its wake).
+    fn within_5s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("the daemon did not exit within 5 s")
+    }
 
     fn client(daemon: &Collectd, obs: &MetricsRegistry) -> Conn {
         Conn::connect(
@@ -796,5 +837,54 @@ mod tests {
         );
         daemon.trigger_drain();
         daemon.join().unwrap();
+    }
+
+    #[test]
+    fn idle_daemon_on_an_unspecified_address_drains_without_a_client() {
+        let obs = MetricsRegistry::new();
+        let mut cfg = DaemonConfig::new(Method::LGrr, 8, 2.0, 1.0);
+        cfg.addr = SocketAddr::from(([0, 0, 0, 0], 0));
+        let daemon = Collectd::start(cfg, &obs).unwrap();
+        daemon.trigger_drain();
+        let report = within_5s(move || daemon.join()).unwrap();
+        assert!(!report.hard_killed);
+        assert_eq!(report.connections_served, 0, "the wake is never served");
+    }
+
+    #[test]
+    fn dropping_an_idle_daemon_returns() {
+        let obs = MetricsRegistry::new();
+        let daemon = Collectd::start(DaemonConfig::new(Method::LGrr, 8, 2.0, 1.0), &obs).unwrap();
+        within_5s(move || drop(daemon));
+    }
+
+    #[test]
+    fn sequential_handshakes_do_not_wait_a_tick() {
+        let obs = MetricsRegistry::new();
+        let daemon = Collectd::start(DaemonConfig::new(Method::LGrr, 8, 2.0, 1.0), &obs).unwrap();
+        let t0 = Instant::now();
+        for worker in 0..40 {
+            let sink = NetSink::connect(
+                daemon.local_addr(),
+                worker,
+                Method::LGrr,
+                8,
+                8,
+                daemon.fingerprint(),
+                64,
+                &obs,
+                Deadline::after(Duration::from_secs(5)),
+            )
+            .unwrap();
+            drop(sink);
+        }
+        let took = t0.elapsed();
+        // One TICK per handshake would be 400 ms; none may wait on a timer.
+        assert!(
+            took < Duration::from_millis(200),
+            "40 handshakes took {took:?}"
+        );
+        daemon.trigger_drain();
+        assert_eq!(daemon.join().unwrap().connections_served, 40);
     }
 }

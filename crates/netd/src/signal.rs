@@ -4,7 +4,9 @@
 //! std-only signal API, so this module carries the workspace's one
 //! unsafe block: registering a handler that does nothing but store into
 //! a static `AtomicBool` (the only async-signal-safe action a handler
-//! may take). The daemon's accept loop polls the latch between accepts.
+//! may take). The daemon's latch watcher polls it every tick and wakes
+//! the blocking accept loop with a connection to the daemon's own
+//! address.
 //!
 //! On non-Unix targets the latch exists but never fires; the in-band
 //! `Shutdown` frame remains the portable drain trigger.
