@@ -840,6 +840,35 @@ mod tests {
     }
 
     #[test]
+    fn a_previous_version_frame_is_malformed_and_closes_the_connection() {
+        use crate::proto::{decode_frame, read_frame, write_frame, WIRE_MAGIC};
+        let obs = MetricsRegistry::new();
+        let daemon = Collectd::start(DaemonConfig::new(Method::LGrr, 8, 2.0, 1.0), &obs).unwrap();
+        let mut s = TcpStream::connect(daemon.local_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut w = ldp_primitives::codec::CodecWriter::new(WIRE_MAGIC, 2, daemon.fingerprint());
+        w.put_u8(4); // an EndRound, as version 2 wrote it
+        w.put_u64(0);
+        write_frame(&mut s, &w.finish()).unwrap();
+        let mut buf = Vec::new();
+        assert!(read_frame(&mut s, &mut buf).unwrap(), "the daemon answers");
+        let (_, reply) = decode_frame(&buf).unwrap();
+        assert!(
+            matches!(
+                reply,
+                Frame::Error {
+                    code: ErrorCode::Malformed,
+                    ..
+                }
+            ),
+            "{reply:?}"
+        );
+        assert!(!read_frame(&mut s, &mut buf).unwrap(), "then closes");
+        daemon.trigger_drain();
+        assert_eq!(daemon.join().unwrap().rounds_finished, 0);
+    }
+
+    #[test]
     fn idle_daemon_on_an_unspecified_address_drains_without_a_client() {
         let obs = MetricsRegistry::new();
         let mut cfg = DaemonConfig::new(Method::LGrr, 8, 2.0, 1.0);

@@ -6,18 +6,21 @@
 //!
 //! ```text
 //! len u32 LE | body (len bytes)
-//! body = "LDNW" | version u16 | fingerprint u64 | kind u8 | payload | fnv1a u64
+//! body = "LDNW" | version u16 | fingerprint u64 | kind u8 | payload | xxh64 u64
 //! ```
 //!
 //! The body is one instance of the workspace's unified checkpoint
 //! container ([`ldp_primitives::codec`]), so every frame inherits the
 //! container's hostile-input posture: magic and version checked first,
 //! the checksum verified before any payload byte is interpreted, and
-//! every read bounds-checked. The outer length prefix is capped at
-//! [`MAX_FRAME_LEN`] *before* the read buffer grows, so a forged length
-//! cannot force an allocation; batch cardinality claims are likewise
-//! checked against [`MAX_WIRE_REPORTS`]/[`MAX_WIRE_INDICES`] and the
-//! remaining payload length before the index buffers are allocated.
+//! every read bounds-checked. The trailer is XXH64 (seed 0), not the
+//! checkpoints' FNV-1a: the codec picks it from the `LDNW` v3 header,
+//! so nothing here computes a checksum. The outer length prefix is
+//! capped at [`MAX_FRAME_LEN`] *before* the read buffer grows, so a
+//! forged length cannot force an allocation; batch cardinality claims
+//! are likewise checked against [`MAX_WIRE_REPORTS`]/[`MAX_WIRE_INDICES`]
+//! and the remaining payload length before the index buffers are
+//! allocated.
 //!
 //! A submit's supports travel as index lists or, when every report is
 //! strictly ascending and it is smaller, as one bit row per report;
@@ -41,8 +44,10 @@ use std::io::{Read, Write};
 pub const WIRE_MAGIC: &[u8; 4] = b"LDNW";
 /// Current wire protocol version. A daemon speaks exactly one version;
 /// frames from the future are answered with a malformed-frame error so
-/// old daemons fail closed (see `docs/WIRE_FORMAT.md` §2).
-pub const WIRE_VERSION: u16 = 2;
+/// old daemons fail closed, and so are frames from the past (see
+/// `docs/WIRE_FORMAT.md` §2). Version 3 changed only the trailer, to
+/// XXH64.
+pub const WIRE_VERSION: u16 = 3;
 
 /// Hard cap on a frame body's length, enforced against the length
 /// prefix before any buffer is grown. Generous for the largest legal
@@ -957,10 +962,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_biloloha_frame_ships_as_rows_at_a_tenth_of_the_list_bytes() {
-        // 128 real BiLOLOHA reports at the DB_MT domain (k = 1412): each
-        // support is about k/2 ascending indices, 23 words as a row.
+    /// 128 real BiLOLOHA reports at the DB_MT domain (k = 1412): each
+    /// support is about k/2 ascending indices, 23 words as a row.
+    fn biloloha_batch() -> ReportBatch {
         let (k, users) = (1412u64, 128usize);
         let cfg = ldp_client::ClientConfig::for_method(Method::BiLoloha, k, 2.0, 1.0).unwrap();
         let mut pool =
@@ -970,6 +974,13 @@ mod tests {
         let mut sinks = [Capture(ReportBatch::new())];
         pool.sanitize_round_sinks(&values, &mut sinks).unwrap();
         let [Capture(batch)] = sinks;
+        batch
+    }
+
+    #[test]
+    fn a_biloloha_frame_ships_as_rows_at_a_tenth_of_the_list_bytes() {
+        let users = 128;
+        let batch = biloloha_batch();
         assert_eq!(batch.report_count(), users);
         assert!(batch.index_count() > users * 600, "{}", batch.index_count());
         let frame = Frame::Submit {
@@ -997,6 +1008,81 @@ mod tests {
             lists.len(),
             body.len()
         );
+    }
+
+    /// Offset of the first row in a rows-layout submit body: the layout
+    /// byte, then the row width.
+    const ROWS_AT: usize = LAYOUT_AT + 1 + 4;
+
+    #[test]
+    fn the_trailer_is_xxh64_of_everything_before_it() {
+        for frame in sample_frames() {
+            let body = encode_frame(&frame, 0x5EED);
+            let (head, tail) = body.split_at(body.len() - CHECKSUM_LEN);
+            let want = ldp_primitives::codec::xxh64(head).to_le_bytes();
+            assert_eq!(tail, want, "{frame:?}");
+        }
+    }
+
+    #[test]
+    fn the_previous_wire_version_is_refused() {
+        let mut w = CodecWriter::new(WIRE_MAGIC, 2, 0x5EED);
+        w.put_u8(6); // a Shutdown, as version 2 wrote it
+        assert_eq!(
+            decode_frame(&w.finish()).unwrap_err(),
+            NetError::Codec(ldp_primitives::codec::CodecError::UnsupportedVersion(2))
+        );
+    }
+
+    /// A real-sized submit: every corruption below must fail the
+    /// checksum. A per-word XOR, sum or FNV trailer would miss some of
+    /// them; this guards the trailer against such a "faster" swap.
+    #[test]
+    fn the_trailer_catches_corruption_in_a_real_sized_submit() {
+        let frame = Frame::Submit {
+            seq: 9,
+            key_base: 0,
+            batch: biloloha_batch(),
+        };
+        let body = encode_frame(&frame, 0x5EED);
+        assert_eq!(body[LAYOUT_AT], LAYOUT_ROWS);
+        let row_bytes = 8 * 23;
+        assert_eq!(body.len(), ROWS_AT + 128 * row_bytes + CHECKSUM_LEN);
+        let rejected = |evil: &[u8], what: &str| {
+            assert_eq!(
+                decode_frame(evil).unwrap_err(),
+                NetError::Codec(ldp_primitives::codec::CodecError::ChecksumMismatch),
+                "{what}"
+            );
+        };
+
+        // Single-bit flips after the magic and version, every 97th bit.
+        for bit in (8 * 6..8 * body.len()).step_by(97) {
+            let mut evil = body.clone();
+            evil[bit / 8] ^= 1 << (bit % 8);
+            rejected(&evil, &format!("bit {bit}"));
+        }
+        // The same bit in two words one 32-byte stripe apart: both
+        // land in the same XXH64 lane.
+        for at in (ROWS_AT..body.len() - CHECKSUM_LEN - 32).step_by(1001) {
+            let mut evil = body.clone();
+            evil[at] ^= 0x10;
+            evil[at + 32] ^= 0x10;
+            rejected(&evil, &format!("bytes {at} and {}", at + 32));
+        }
+        // Two different rows swapped.
+        let row = |i: usize| ROWS_AT + i * row_bytes..ROWS_AT + (i + 1) * row_bytes;
+        assert_ne!(body[row(3)], body[row(70)]);
+        let mut evil = body.clone();
+        evil[row(3)].copy_from_slice(&body[row(70)]);
+        evil[row(70)].copy_from_slice(&body[row(3)]);
+        rejected(&evil, "rows 3 and 70 swapped");
+        // One non-zero word zeroed.
+        let at = ROWS_AT + 40 * row_bytes + 8;
+        assert_ne!(body[at..at + 8], [0; 8]);
+        let mut evil = body.clone();
+        evil[at..at + 8].fill(0);
+        rejected(&evil, "one word zeroed");
     }
 
     /// Reports in the shapes the layout choice turns on. A batch is one

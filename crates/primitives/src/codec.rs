@@ -1,12 +1,15 @@
-//! The one checkpoint codec every durable format in this workspace is
-//! built on.
+//! The one container format every checkpoint and wire frame in this
+//! workspace is built on.
 //!
-//! Three subsystems persist state across restarts — the standalone LOLOHA
+//! Six stores persist state across restarts — the standalone LOLOHA
 //! client snapshots (`loloha::persist`), the shard-state checkpoints
-//! (`ldp_ingest::store`), and the client-pool checkpoints
-//! (`ldp_client::store`) — and all of them share one container format,
-//! implemented here exactly once. The normative on-disk specification
-//! lives in `docs/CHECKPOINT_FORMAT.md`; this module is its reference
+//! (`ldp_ingest::store`), the client-pool checkpoints, single-file and
+//! chunked (`ldp_client::store`), the sweep progress of
+//! `ldp_harness::checkpoint` and the `collectd` daemon checkpoints
+//! (`ldp_netd::store`) — and `ldp_netd`'s wire frames travel in the
+//! same container. It is implemented here exactly once. The normative
+//! specification lives in `docs/CHECKPOINT_FORMAT.md` (the wire
+//! container in `docs/WIRE_FORMAT.md`); this module is its reference
 //! implementation.
 //!
 //! Container layout (little-endian throughout):
@@ -14,7 +17,7 @@
 //! ```text
 //! magic [u8; 4] | version u16 | fingerprint u64
 //! | payload (store-specific, length-prefixed frames for variable parts)
-//! | checksum u64 (FNV-1a over every preceding byte)
+//! | checksum u64 (over every preceding byte; see below for which hash)
 //! ```
 //!
 //! * The **magic** names the store; a file with a different magic is
@@ -26,11 +29,14 @@
 //! * The **fingerprint** pins the configuration the payload is only valid
 //!   for (each store documents what it hashes); folding a checkpoint into
 //!   a differently-configured consumer is a [`CodecError::Mismatch`].
-//! * The **checksum** is FNV-1a ([`fnv1a`]) — tiny, dependency-free
-//!   corruption detection, *not* a cryptographic integrity guarantee: the
-//!   checkpoint trusts its storage, so decoders must still prove every
-//!   declared length against the actual buffer before sizing an
-//!   allocation from it.
+//! * The **checksum** is picked by the header: [`XXH64_TRAILERS`] lists
+//!   the (magic, first version) pairs whose trailer is XXH64 ([`xxh64`],
+//!   seed 0), and every other container's trailer is FNV-1a ([`fnv1a`]).
+//!   Today that is `LDNW` from version 3 on, where a ~24 KB submit frame
+//!   is checksummed once per side per frame. Either hash is corruption
+//!   detection, *not* a cryptographic integrity guarantee: decoders must
+//!   still prove every declared length against the actual buffer before
+//!   sizing an allocation from it.
 //!
 //! [`CodecWriter`] builds a container (header up front, checksum appended
 //! by [`CodecWriter::finish`]); [`CodecReader::open`] verifies magic,
@@ -48,8 +54,62 @@ use std::path::{Path, PathBuf};
 
 /// Bytes of the fixed container header: magic + version + fingerprint.
 pub const HEADER_LEN: usize = 4 + 2 + 8;
-/// Bytes of the FNV-1a checksum trailer.
+/// Bytes of the checksum trailer (FNV-1a or XXH64; both are 64-bit).
 pub const CHECKSUM_LEN: usize = 8;
+
+/// The (magic, first version) pairs whose containers carry an XXH64
+/// trailer. Every other container, and every earlier version of these,
+/// carries FNV-1a. `docs/CHECKPOINT_FORMAT.md` §3 names each magic's
+/// trailer, and a tier-1 test holds the two together.
+pub const XXH64_TRAILERS: &[(&[u8; 4], u16)] = &[(b"LDNW", 3)];
+
+/// The hash in a container's checksum trailer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Trailer {
+    /// 64-bit FNV-1a ([`fnv1a`]).
+    Fnv1a,
+    /// XXH64 with seed 0 ([`xxh64`]).
+    Xxh64,
+}
+
+impl Trailer {
+    /// The trailer a container of `magic` at `version` carries.
+    pub fn of(magic: &[u8; 4], version: u16) -> Trailer {
+        let xxh = XXH64_TRAILERS
+            .iter()
+            .any(|&(m, from)| m == magic && version >= from);
+        if xxh {
+            Trailer::Xxh64
+        } else {
+            Trailer::Fnv1a
+        }
+    }
+
+    /// The trailer named by a container header (its magic and version);
+    /// FNV-1a when `header` is too short to hold them.
+    fn of_header(header: &[u8]) -> Trailer {
+        match *header {
+            [a, b, c, d, v0, v1, ..] => Trailer::of(&[a, b, c, d], u16::from_le_bytes([v0, v1])),
+            _ => Trailer::Fnv1a,
+        }
+    }
+
+    /// The hash's name as `docs/CHECKPOINT_FORMAT.md` §3 writes it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Trailer::Fnv1a => "FNV-1a",
+            Trailer::Xxh64 => "XXH64",
+        }
+    }
+
+    /// The checksum of `bytes` under this hash.
+    pub fn sum(self, bytes: &[u8]) -> u64 {
+        match self {
+            Trailer::Fnv1a => fnv1a(bytes),
+            Trailer::Xxh64 => xxh64(bytes),
+        }
+    }
+}
 
 /// Why a checkpoint failed to decode, validate, or hit disk. The single
 /// error type shared by every durable format in the workspace.
@@ -95,7 +155,8 @@ impl fmt::Display for CodecError {
 
 impl Error for CodecError {}
 
-/// FNV-1a, 64-bit: the workspace's checksum and fingerprint hash. Tiny and
+/// FNV-1a, 64-bit: the workspace's fingerprint hash, and the checksum of
+/// every container [`XXH64_TRAILERS`] does not list. Tiny and
 /// dependency-free; forgeable by construction, so it detects accidents,
 /// not adversaries.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -105,6 +166,82 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// One XXH64 lane step: fold the 8-byte word `input` into `acc`.
+fn xxh64_round(acc: u64, input: u64) -> u64 {
+    acc.wrapping_add(input.wrapping_mul(PRIME64_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME64_1)
+}
+
+/// XXH64 with seed 0, the xxHash 64-bit function as published in its
+/// specification. Four independent lanes take one 8-byte word each per
+/// 32-byte stripe, so it runs at several bytes per cycle where FNV-1a's
+/// one dependent multiply per byte cannot. Like FNV-1a it detects
+/// accidents, not adversaries.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let (stripes, tail) = bytes.as_chunks::<32>();
+    let mut h = if stripes.is_empty() {
+        PRIME64_5
+    } else {
+        let mut lanes = [
+            PRIME64_1.wrapping_add(PRIME64_2),
+            PRIME64_2,
+            0,
+            PRIME64_1.wrapping_neg(),
+        ];
+        for stripe in stripes {
+            let (words, _) = stripe.as_chunks::<8>();
+            for (lane, word) in lanes.iter_mut().zip(words) {
+                *lane = xxh64_round(*lane, u64::from_le_bytes(*word));
+            }
+        }
+        let [v1, v2, v3, v4] = lanes;
+        let mut h = v1
+            .rotate_left(1)
+            .wrapping_add(v2.rotate_left(7))
+            .wrapping_add(v3.rotate_left(12))
+            .wrapping_add(v4.rotate_left(18));
+        for lane in lanes {
+            h = (h ^ xxh64_round(0, lane))
+                .wrapping_mul(PRIME64_1)
+                .wrapping_add(PRIME64_4);
+        }
+        h
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let (words, tail) = tail.as_chunks::<8>();
+    for word in words {
+        h ^= xxh64_round(0, u64::from_le_bytes(*word));
+        h = h
+            .rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4);
+    }
+    let (halves, tail) = tail.as_chunks::<4>();
+    for half in halves {
+        h ^= u64::from(u32::from_le_bytes(*half)).wrapping_mul(PRIME64_1);
+        h = h
+            .rotate_left(23)
+            .wrapping_mul(PRIME64_2)
+            .wrapping_add(PRIME64_3);
+    }
+    for &b in tail {
+        h ^= u64::from(b).wrapping_mul(PRIME64_5);
+        h = h.rotate_left(11).wrapping_mul(PRIME64_1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(PRIME64_2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(PRIME64_3);
+    h ^ (h >> 32)
 }
 
 /// Reads the magic and version of a container without touching the rest,
@@ -125,13 +262,19 @@ pub fn sniff_version(bytes: &[u8], magic: &[u8; 4]) -> Result<u16, CodecError> {
 /// decoders use this to share the trailer check without the fingerprint
 /// field.
 pub fn split_checksummed(bytes: &[u8]) -> Result<&[u8], CodecError> {
+    split_trailer(bytes, Trailer::Fnv1a)
+}
+
+/// Verifies a `trailer` checksum over everything before it and returns
+/// that body.
+fn split_trailer(bytes: &[u8], trailer: Trailer) -> Result<&[u8], CodecError> {
     if bytes.len() < CHECKSUM_LEN {
         return Err(CodecError::Truncated);
     }
-    let (body, trailer) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
+    let (body, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
     // ldp_lint::allow(L001): split_at(len - 8) makes the trailer exactly 8 bytes
-    let declared = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    if fnv1a(body) != declared {
+    let declared = u64::from_le_bytes(tail.try_into().expect("8-byte trailer"));
+    if trailer.sum(body) != declared {
         return Err(CodecError::ChecksumMismatch);
     }
     Ok(body)
@@ -213,10 +356,10 @@ impl CodecWriter {
         self.buf.is_empty()
     }
 
-    /// Appends the FNV-1a trailer over everything written and returns the
-    /// finished container.
+    /// Appends the checksum trailer the header names ([`Trailer::of`])
+    /// over everything written and returns the finished container.
     pub fn finish(mut self) -> Vec<u8> {
-        let sum = fnv1a(&self.buf);
+        let sum = Trailer::of_header(&self.buf).sum(&self.buf);
         self.buf.extend_from_slice(&sum.to_le_bytes());
         self.buf
     }
@@ -237,8 +380,8 @@ pub struct CodecReader<'a> {
 impl<'a> CodecReader<'a> {
     /// Opens a container: verifies the magic, requires exactly `version`
     /// (legacy versions must be routed to shims via [`sniff_version`]
-    /// *before* calling this), and verifies the checksum trailer before
-    /// exposing any payload byte.
+    /// *before* calling this), and verifies the checksum trailer the
+    /// header names ([`Trailer::of`]) before exposing any payload byte.
     pub fn open(bytes: &'a [u8], magic: &[u8; 4], version: u16) -> Result<Self, CodecError> {
         let got = sniff_version(bytes, magic)?;
         if got != version {
@@ -247,7 +390,7 @@ impl<'a> CodecReader<'a> {
         if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
             return Err(CodecError::Truncated);
         }
-        let body = split_checksummed(bytes)?;
+        let body = split_trailer(bytes, Trailer::of(magic, version))?;
         // ldp_lint::allow(L001): the length floor above proves 8 header bytes exist
         let fingerprint = u64::from_le_bytes(body[6..HEADER_LEN].try_into().expect("header"));
         Ok(Self {

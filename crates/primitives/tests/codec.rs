@@ -10,8 +10,14 @@
 //! * foreign magic → [`CodecError::BadMagic`];
 //! * any version other than the writer's → [`CodecError::UnsupportedVersion`];
 //! * forged frame lengths → bounds-checked [`CodecError::Truncated`].
+//!
+//! It also pins the two trailer hashes: XXH64 against the xxHash
+//! reference values, and which containers carry which hash against the
+//! `docs/CHECKPOINT_FORMAT.md` §3 registry.
 
-use ldp_primitives::codec::{self, CodecError, CodecReader, CodecWriter, CHECKSUM_LEN, HEADER_LEN};
+use ldp_primitives::codec::{
+    self, CodecError, CodecReader, CodecWriter, Trailer, CHECKSUM_LEN, HEADER_LEN, XXH64_TRAILERS,
+};
 use proptest::prelude::*;
 
 const MAGIC: &[u8; 4] = b"PROP";
@@ -162,4 +168,135 @@ fn min_sized_container_is_header_plus_trailer() {
     assert_eq!(r.fingerprint(), 9);
     assert_eq!(r.remaining(), 0);
     r.finish().unwrap();
+}
+
+#[test]
+fn xxh64_matches_the_reference_values() {
+    assert_eq!(codec::xxh64(b""), 0xEF46_DB37_51D8_E999);
+    assert_eq!(codec::xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+    // 39 bytes: one 32-byte stripe, then a 4-byte and a 3-byte tail.
+    assert_eq!(
+        codec::xxh64(b"Nobody inspects the spammish repetition"),
+        0xFBCE_A83C_8A37_8BF1
+    );
+}
+
+/// The 8-byte little-endian trailer of a container.
+fn trailer_of(bytes: &[u8]) -> u64 {
+    let tail: [u8; CHECKSUM_LEN] = bytes[bytes.len() - CHECKSUM_LEN..].try_into().unwrap();
+    u64::from_le_bytes(tail)
+}
+
+#[test]
+fn the_header_picks_the_trailer() {
+    let payload: Vec<u8> = (0..100u8).collect();
+    let build = |magic: &[u8; 4], version: u16| {
+        let mut w = CodecWriter::new(magic, version, 0xFEED);
+        w.put_bytes(&payload);
+        w.finish()
+    };
+    // LDNW from version 3 on: XXH64 over every byte before the trailer,
+    // and the reader checks that hash.
+    for version in [3, 4] {
+        let bytes = build(b"LDNW", version);
+        let body = &bytes[..bytes.len() - CHECKSUM_LEN];
+        assert_eq!(trailer_of(&bytes), codec::xxh64(body), "LDNW v{version}");
+        let mut r = CodecReader::open(&bytes, b"LDNW", version).unwrap();
+        assert_eq!(r.take(payload.len()).unwrap(), &payload[..]);
+        let mut forged = body.to_vec();
+        forged.extend_from_slice(&codec::fnv1a(body).to_le_bytes());
+        assert_eq!(
+            CodecReader::open(&forged, b"LDNW", version).err(),
+            Some(CodecError::ChecksumMismatch)
+        );
+    }
+    // Earlier LDNW versions and every other magic: FNV-1a, as before.
+    let mut others: Vec<([u8; 4], u16)> = vec![(*b"LDNW", 2), (*b"LDNW", 1), (*b"PROP", 3)];
+    others.extend(registry().into_iter().filter_map(|row| {
+        let magic: [u8; 4] = row.magic.as_bytes().try_into().unwrap();
+        (&magic != b"LDNW").then_some((magic, row.version))
+    }));
+    for (magic, version) in others {
+        let bytes = build(&magic, version);
+        let body = &bytes[..bytes.len() - CHECKSUM_LEN];
+        assert_eq!(
+            trailer_of(&bytes),
+            codec::fnv1a(body),
+            "{} v{version}",
+            String::from_utf8_lossy(&magic)
+        );
+        CodecReader::open(&bytes, &magic, version).unwrap();
+    }
+}
+
+/// One row of the `docs/CHECKPOINT_FORMAT.md` §3 magic registry.
+#[derive(Debug)]
+struct RegistryRow {
+    magic: String,
+    version: u16,
+    trailer: String,
+}
+
+/// Parses the §3 registry table: rows `| \`XXXX\` | store | version |
+/// legacy | trailer |`, the trailer in the last cell.
+fn registry() -> Vec<RegistryRow> {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../docs/CHECKPOINT_FORMAT.md"
+    );
+    let doc = std::fs::read_to_string(path).expect("the checkpoint format doc exists");
+    let rows: Vec<RegistryRow> = doc
+        .lines()
+        .filter_map(|line| {
+            let cells: Vec<&str> = line.trim().strip_prefix('|')?.split('|').collect();
+            let magic = cells.first()?.trim().strip_prefix('`')?.strip_suffix('`')?;
+            if magic.len() != 4 || cells.len() < 3 {
+                return None;
+            }
+            let version = cells[2].trim().parse().ok()?;
+            let trailer = cells
+                .iter()
+                .rev()
+                .map(|c| c.trim())
+                .find(|c| !c.is_empty())?;
+            Some(RegistryRow {
+                magic: magic.to_string(),
+                version,
+                trailer: trailer.to_string(),
+            })
+        })
+        .collect();
+    assert!(rows.len() >= 8, "registry rows not found: {rows:?}");
+    rows
+}
+
+#[test]
+fn registry_trailers_match_the_codec_rule() {
+    let rows = registry();
+    // Doc → code: every row names the trailer its current version gets.
+    for row in &rows {
+        let magic: [u8; 4] = row.magic.as_bytes().try_into().unwrap();
+        assert_eq!(
+            row.trailer,
+            Trailer::of(&magic, row.version).name(),
+            "`{}` v{} in docs/CHECKPOINT_FORMAT.md §3",
+            row.magic,
+            row.version
+        );
+    }
+    // Code → doc: every XXH64 entry is a registered magic whose current
+    // version has reached it.
+    for &(magic, from) in XXH64_TRAILERS {
+        let magic = std::str::from_utf8(magic).unwrap();
+        let row = rows
+            .iter()
+            .find(|row| row.magic == magic)
+            .unwrap_or_else(|| panic!("`{magic}` is not in the §3 registry"));
+        assert!(
+            row.version >= from,
+            "`{magic}` uses XXH64 from v{from}, but the registry is at v{}",
+            row.version
+        );
+        assert_eq!(row.trailer, "XXH64", "`{magic}`");
+    }
 }
