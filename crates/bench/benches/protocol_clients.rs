@@ -3,15 +3,20 @@
 //! ε1 = 0.5). This is the hot path of any real deployment — one call per
 //! user per collection round. A second group times L-OSUE's two UE
 //! kernels alone at DB_MT's scale (k = 1412, ε∞ = 2, ε1 = 1): the PRR a
-//! memo miss pays and the IRR every report pays.
+//! memo miss pays and the IRR every report pays. A third group times
+//! the path the pool takes at that scale: `ClientState::report_into` on
+//! the boxed state `ClientConfig::build_state` returns, with each user's
+//! own `LdpRng`, over a mix of memo misses and hits.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use ldp_client::{ClientConfig, ReportBuf, USER_STREAM_TAG};
 use ldp_hash::CarterWegman;
 use ldp_longitudinal::chain::ue_chain_params;
 use ldp_longitudinal::irr::IrrKernel;
 use ldp_longitudinal::{DBitFlipClient, LgrrClient, LongitudinalUeClient, UeChain};
 use ldp_primitives::{BitVec, UeClient};
-use ldp_rand::derive_rng;
+use ldp_rand::{derive_rng, derive_rng2};
+use ldp_runtime::Method;
 use loloha::{LolohaClient, LolohaParams};
 use std::hint::black_box;
 
@@ -138,5 +143,51 @@ fn bench_losue_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_clients, bench_losue_kernels);
+fn bench_pool_reports(c: &mut Criterion) {
+    const K_DBMT: u64 = 1412;
+    const USERS: usize = 256;
+    // Per user: a, a, b, a — two memo misses and two hits (DB_MT's
+    // streams miss on ~0.56 of reports).
+    const PLAN: [u64; 4] = [0, 0, 1, 0];
+    let mut group = c.benchmark_group("pool_report_k1412");
+    group.sample_size(20);
+
+    for (name, method) in [("L-OSUE", Method::LOsue), ("BiLOLOHA", Method::BiLoloha)] {
+        let cfg = ClientConfig::for_method(method, K_DBMT, 2.0, 1.0).unwrap();
+        // One sample: 256 fresh users × 4 reports through the boxed state.
+        group.bench_function(format!("{name} x1024"), |b| {
+            let mut buf = ReportBuf::new();
+            b.iter_batched(
+                || {
+                    (0..USERS)
+                        .map(|u| {
+                            let mut rng = derive_rng2(10, USER_STREAM_TAG, u as u64);
+                            (cfg.build_state(&mut rng).unwrap(), rng)
+                        })
+                        .collect::<Vec<_>>()
+                },
+                |mut users| {
+                    for step in PLAN {
+                        for (u, (state, rng)) in users.iter_mut().enumerate() {
+                            let v = (u as u64 * 37 + step * 701) % K_DBMT;
+                            state.report_into(black_box(v), rng, &mut buf);
+                            black_box(buf.row());
+                        }
+                    }
+                    users
+                },
+                BatchSize::SmallInput,
+            );
+        });
+    }
+
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_clients,
+    bench_losue_kernels,
+    bench_pool_reports
+);
 criterion_main!(benches);

@@ -51,7 +51,11 @@ impl DetectionTrack {
             }
         }
         self.prev_bucket = Some(bucket);
-        self.prev_bits = Some(bits.clone());
+        // Overwrite in place: after the first report this allocates nothing.
+        match &mut self.prev_bits {
+            Some(prev) if prev.len() == bits.len() => prev.copy_from(bits),
+            prev => *prev = Some(bits.clone()),
+        }
     }
 
     /// Whether the user changed bucket at least once.

@@ -9,7 +9,10 @@
 //! bench harness can drive any protocol through one dispatch point:
 //!
 //! * [`ClientState::report_into`] sanitizes one value into a reusable
-//!   [`ReportBuf`] — no per-user per-round allocation on the hot path;
+//!   [`ReportBuf`] with the user's own [`LdpRng`] — no per-user
+//!   per-round allocation on the hot path, and no indirect call per RNG
+//!   word (the protocol kernels are instantiated on the concrete
+//!   generator; the trait stays object-safe);
 //! * [`ClientState::save_state`] / [`ClientState::load_state`] encode the
 //!   memoized state for the durable checkpoint layer ([`crate::store`]);
 //!   hash functions and sampled positions are *not* encoded — they are
@@ -24,8 +27,8 @@ use ldp_hash::{CwHash, Preimages, SeededHash};
 use ldp_longitudinal::{DBitFlipClient, LgrrClient, LongitudinalUeClient};
 use ldp_primitives::codec::CodecReader;
 use ldp_primitives::BitVec;
+use ldp_rand::LdpRng;
 use loloha::LolohaClient;
-use rand::RngCore;
 
 /// A reusable sanitization buffer: the report's support in one of two
 /// shapes — an index list, or a bit row for dense supports (UE vectors,
@@ -118,10 +121,15 @@ impl ReportBuf {
 /// Implementations must keep the RNG draw sequence of `report_into`
 /// identical to the protocol's native `report` path — the equivalence
 /// suites pin the pool bit-for-bit against hand-driven clients.
+///
+/// The trait is object-safe: only the state is dispatched dynamically,
+/// once per report, while the RNG is the concrete [`LdpRng`].
 pub trait ClientState: Send {
     /// Sanitizes `value` into `out`: after the call, `out.support()` holds
-    /// the aggregation indices this report supports.
-    fn report_into(&mut self, value: u64, rng: &mut dyn RngCore, out: &mut ReportBuf);
+    /// the aggregation indices this report supports. `rng` is the user's
+    /// own stream (the pool pairs each state with one), so every draw of
+    /// the report is a direct call on the concrete generator.
+    fn report_into(&mut self, value: u64, rng: &mut LdpRng, out: &mut ReportBuf);
 
     /// The user's accumulated longitudinal privacy loss ε̌ (Eq. (8)).
     fn privacy_spent(&self) -> f64;
@@ -173,7 +181,7 @@ fn read_class(
 // ---------------------------------------------------------------------------
 
 impl ClientState for LongitudinalUeClient {
-    fn report_into(&mut self, value: u64, rng: &mut dyn RngCore, out: &mut ReportBuf) {
+    fn report_into(&mut self, value: u64, rng: &mut LdpRng, out: &mut ReportBuf) {
         // UE supports are dense (~k/2 set bits): the k-bit report is the
         // row the sinks take.
         let k = self.k() as usize;
@@ -225,7 +233,7 @@ impl ClientState for LongitudinalUeClient {
 // ---------------------------------------------------------------------------
 
 impl ClientState for LgrrClient {
-    fn report_into(&mut self, value: u64, rng: &mut dyn RngCore, out: &mut ReportBuf) {
+    fn report_into(&mut self, value: u64, rng: &mut LdpRng, out: &mut ReportBuf) {
         let symbol = self.report(value, rng) as usize;
         out.reset_list().push(symbol);
     }
@@ -312,7 +320,7 @@ impl LolohaState {
 }
 
 impl ClientState for LolohaState {
-    fn report_into(&mut self, value: u64, rng: &mut dyn RngCore, out: &mut ReportBuf) {
+    fn report_into(&mut self, value: u64, rng: &mut LdpRng, out: &mut ReportBuf) {
         let cell = self.client.report(value, rng);
         match &self.cells {
             CellSupports::Rows { words, rows } => {
@@ -387,7 +395,7 @@ impl DBitState {
 }
 
 impl ClientState for DBitState {
-    fn report_into(&mut self, value: u64, rng: &mut dyn RngCore, out: &mut ReportBuf) {
+    fn report_into(&mut self, value: u64, rng: &mut LdpRng, out: &mut ReportBuf) {
         let d = self.client.d();
         let scratch = out.reset(d);
         self.client.report_into(value, rng, scratch);

@@ -1,0 +1,133 @@
+//! Counts heap allocations on the client hot path.
+//!
+//! A counting global allocator tallies every `alloc`, `alloc_zeroed` and
+//! `realloc` per thread, so tests running in parallel do not see each
+//! other's allocations. The checks run at DB_MT's domain (k = 1412, 23
+//! words per UE report) through `ClientPool::sanitize_one`, the same
+//! `ClientState::report_into` the round methods call:
+//!
+//! * a memo hit allocates nothing, for every method;
+//! * an L-OSUE memo miss allocates only when the user's memo arena grows;
+//! * building an L-OSUE pool costs a pinned number of allocations per user.
+//!
+//! If a bound fails, find the allocation; do not raise the bound.
+
+use ldp_client::{ClientConfig, ClientPool, ReportBuf};
+use ldp_obs::MetricsRegistry;
+use ldp_runtime::Method;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: an allocation during thread teardown must not panic.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees hold; the counter itself never allocates (a
+// `const`-initialized `Cell<u64>` thread local needs no destructor).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller's `layout` contract passes through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with `layout`; both pass through unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made by `f` on this thread.
+fn allocs_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+const K: u64 = 1412;
+
+fn pool(method: Method, n: usize, obs: &MetricsRegistry) -> ClientPool {
+    let cfg = ClientConfig::for_method(method, K, 2.0, 1.0).unwrap();
+    ClientPool::with_obs(cfg, 7, n, obs).unwrap()
+}
+
+#[test]
+fn memo_hits_allocate_nothing_for_any_method() {
+    let value = |u: usize, i: usize| ((u * 97 + (i % 3) * 5) % K as usize) as u64;
+    for method in Method::all() {
+        let obs = MetricsRegistry::new();
+        let mut pool = pool(method, 8, &obs);
+        let mut buf = ReportBuf::new();
+        // Warm-up: memoize each user's three values and size the buffer.
+        for u in 0..8 {
+            for i in 0..3 {
+                pool.sanitize_one(u, value(u, i), &mut buf);
+            }
+        }
+        let n = allocs_in(|| {
+            for i in 0..1_000 {
+                pool.sanitize_one(i % 8, value(i % 8, i), &mut buf);
+            }
+        });
+        assert_eq!(
+            n, 0,
+            "{method:?}: 1000 memo-hit reports allocated {n} times"
+        );
+    }
+}
+
+#[test]
+fn memo_misses_allocate_only_when_the_arena_grows() {
+    let obs = MetricsRegistry::new();
+    let mut pool = pool(Method::LOsue, 2, &obs);
+    let mut buf = ReportBuf::new();
+    // Size the buffer on another user, so only user 0's memo can grow.
+    pool.sanitize_one(1, 0, &mut buf);
+    let n = allocs_in(|| {
+        for v in 0..64 {
+            pool.sanitize_one(0, v * 19, &mut buf);
+        }
+    });
+    assert_eq!(pool.states().next().unwrap().distinct_classes(), 64);
+    // 64 entries of 23 words: the arena's amortized doubling reallocates
+    // 7 times (23 → 46 → … → 1472 words).
+    assert!(n <= 8, "64 memo misses allocated {n} times");
+}
+
+#[test]
+fn pool_build_allocations_per_user_are_pinned() {
+    // A fresh registry per build, so both register the same instruments.
+    let build = |n: usize| {
+        let obs = MetricsRegistry::new();
+        allocs_in(|| drop(pool(Method::LOsue, n, &obs)))
+    };
+    let (small, large) = (build(10), build(110));
+    // Per user: the boxed state, the memo's class index and the privacy
+    // accountant's class bitset. The memo arena starts empty.
+    assert_eq!((large - small) % 100, 0, "{small} vs {large}");
+    assert_eq!((large - small) / 100, 3, "allocations per pooled user");
+}

@@ -71,16 +71,25 @@ impl LongitudinalUeClient {
         out
     }
 
-    /// Like [`Self::report`] but writes into a caller-provided buffer.
+    /// Like [`Self::report`] but writes into a caller-provided `k`-bit
+    /// buffer, without allocating: a memo miss first draws the PRR into
+    /// `out` and memoizes it from there, then the IRR of the memoized
+    /// vector overwrites `out`. The draw order is the PRR's words, then
+    /// the IRR's; which buffer the PRR lands in does not change it.
+    ///
+    /// # Panics
+    /// Panics if `value >= k` or `out.len() != k`.
     pub fn report_into<R: RngCore + ?Sized>(&mut self, value: u64, rng: &mut R, out: &mut BitVec) {
         assert!((value as usize) < self.k, "value {value} outside domain");
         let class = value as u32;
         self.accountant.observe(class);
-        if self.memo.get(class).is_none() {
-            let prr = self.prr_encoder.perturb(value, rng);
-            self.memo.insert(class, prr.blocks());
-        }
-        let blocks = self.memo.get(class).expect("just inserted");
+        let blocks = match self.memo.get(class) {
+            Some(blocks) => blocks,
+            None => {
+                self.prr_encoder.perturb_into(value, rng, out);
+                self.memo.insert(class, out.blocks())
+            }
+        };
         self.irr.perturb_blocks_into(blocks, rng, out);
     }
 
