@@ -2,13 +2,12 @@
 //! round at paper scale (Syn: k = 360, n = 10 000 reports), comparing the
 //! pre-runtime fixed-chunk merge loop against the sharded streaming
 //! aggregator that replaced it, at several shard counts — plus the cost of
-//! a mid-stream snapshot, and the `ldp_ingest` concurrent worker pipeline
-//! (1/2/4/8 workers) against a single-threaded fill of the same round —
-//! plus the cost of running that round with `ldp_obs` telemetry enabled
-//! versus hard-disabled.
+//! a mid-stream snapshot, a client pool sanitizing into the `ldp_ingest`
+//! concurrent worker pipeline (1/2/4/8 workers) against a single-threaded
+//! sanitize-into-shard of the same round, and the cost of running that
+//! round with `ldp_obs` telemetry enabled versus hard-disabled.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ldp_hash::{CarterWegman, CwHash, Preimages};
 use ldp_ingest::IngestPipeline;
 use ldp_obs::MetricsRegistry;
 use ldp_rand::{derive_rng, uniform_u64};
@@ -90,79 +89,6 @@ fn bench_ingestion(c: &mut Criterion) {
         }
         b.iter(|| black_box(agg.snapshot()));
     });
-
-    group.finish();
-}
-
-/// One paper-scale round of anonymized LOLOHA reports: `(hash, cell)`
-/// pairs whose server-side cost is the O(k) preimage enumeration — the
-/// part the concurrent pipeline parallelizes across shard workers.
-fn anon_reports(seed: u64) -> Vec<(CwHash, u32)> {
-    let family = CarterWegman::new(2).expect("g = 2");
-    let mut rng = derive_rng(seed, 0xA407);
-    (0..N_REPORTS)
-        .map(|_| {
-            let hash = ldp_hash::UniversalFamily::sample(&family, &mut rng);
-            let cell = uniform_u64(&mut rng, 2) as u32;
-            (hash, cell)
-        })
-        .collect()
-}
-
-/// Concurrent shard fills vs a single-threaded fill of the same round:
-/// the ROADMAP item unblocked by the `ldp_ingest` pipeline. Every variant
-/// ingests the identical 10 000 anonymized reports (k = 360), expanding
-/// each report's ~k/2 preimages before counting. The pipeline variants
-/// ship batched envelopes (64 reports per `submit_task`) so the channel
-/// hop is amortized and the O(k)-per-report expansion runs on 1/2/4/8
-/// worker threads.
-fn bench_concurrent_fill(c: &mut Criterion) {
-    const ENVELOPE: usize = 64;
-    let params = LolohaParams::bi(1.0, 0.5).expect("valid budgets");
-    let reports = anon_reports(7);
-    let envelopes: Vec<Vec<(CwHash, u32)>> = reports.chunks(ENVELOPE).map(<[_]>::to_vec).collect();
-
-    // Worker counts beyond the host's hardware threads measure envelope
-    // overhead, not scaling; record the host so the output is
-    // interpretable wherever the bench ran.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("concurrent_shard_fill host parallelism: {cores} hardware thread(s)");
-
-    let mut group = c.benchmark_group("concurrent_shard_fill_syn_paper_scale");
-    group.sample_size(10);
-
-    group.bench_function("single_thread_baseline", |b| {
-        let mut agg = ShardedAggregator::for_loloha_obs(K, params, 1, &off()).expect("valid");
-        b.iter(|| {
-            for (hash, cell) in &reports {
-                let pre = Preimages::build(hash, K);
-                agg.push_report(0, pre.cell(*cell).iter().map(|&v| v as usize));
-            }
-            black_box(agg.finish_round())
-        });
-    });
-
-    for workers in [1usize, 2, 4, 8] {
-        group.bench_function(format!("pipeline_{workers}_workers"), |b| {
-            let mut pipe =
-                IngestPipeline::for_loloha_obs(K, params, workers, &off()).expect("valid");
-            b.iter(|| {
-                for (i, envelope) in envelopes.iter().enumerate() {
-                    let batch = envelope.clone();
-                    pipe.submit_task(i as u64, move |shard| {
-                        for (hash, cell) in batch {
-                            let pre = Preimages::build(&hash, K);
-                            shard.add_report(pre.cell(cell).iter().map(|&v| v as usize));
-                        }
-                    })
-                    .expect("workers alive");
-                }
-                black_box(pipe.finish_round().expect("workers alive"))
-            });
-        });
-    }
 
     group.finish();
 }
@@ -260,7 +186,6 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_ingestion,
-    bench_concurrent_fill,
     bench_sanitize_and_ingest,
     bench_telemetry_overhead
 );

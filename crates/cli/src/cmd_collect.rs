@@ -15,12 +15,10 @@
 //!
 //! Every round is one sanitize pass of the pool over that round's
 //! `(user, value)` assignments (two when a checkpoint drill splits it
-//! at its midpoint). Scaling and durability flags: `--shards
-//! N` spreads the in-process aggregator over N shards, and the pass over
-//! N client threads, each filling its own shard from a contiguous range
-//! of users; `--workers N` collects through the concurrent `ldp_ingest`
-//! worker pipeline *and* sanitizes with N client worker threads;
-//! `--checkpoint PATH` persists the shard state mid-round
+//! at its midpoint), collected through the concurrent `ldp_ingest`
+//! worker pipeline. Scaling and durability flags: `--workers N`
+//! (default one) runs N pipeline workers *and* sanitizes with N client
+//! threads; `--checkpoint PATH` persists the shard state mid-round
 //! and resumes from the file; `--client-checkpoint PATH` does the same
 //! for the client pool (memo tables + RNG stream positions), so the pair
 //! simulates a full-collector restart. `--client-checkpoint-chunk N`
@@ -48,30 +46,10 @@ use ldp_client::{ClientConfig, ClientPool, ClientStore};
 use ldp_ingest::{IngestPipeline, ShardStore};
 use ldp_obs::MetricsRegistry;
 use ldp_primitives::codec;
-use ldp_runtime::ShardedAggregator;
 use loloha::LolohaParams;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::BufRead;
 use std::path::Path;
-
-/// The server side of the subcommand: either the in-process sharded
-/// aggregator (default) or the concurrent `ldp_ingest` worker pipeline
-/// (`--workers`). Both produce bit-identical output for the same input —
-/// the aggregation runtime's merge is order-independent — so the flag only
-/// changes the collection topology, never the estimates.
-enum Collector {
-    Direct(ShardedAggregator),
-    Piped(IngestPipeline),
-}
-
-impl Collector {
-    fn finish_round(&mut self) -> Result<Vec<f64>, CliError> {
-        match self {
-            Collector::Direct(agg) => Ok(agg.finish_round().estimate),
-            Collector::Piped(pipe) => Ok(pipe.finish_round().map_err(CliError::new)?.estimate),
-        }
-    }
-}
 
 /// One parsed input record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +111,6 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
         "alpha",
         "seed",
         "top",
-        "shards",
         "workers",
         "checkpoint",
         "client-checkpoint",
@@ -146,14 +123,8 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
     let alpha = flags.f64_or("alpha", 0.5)?;
     let seed = flags.u64_or("seed", 7)?;
     let top = flags.u64_or("top", 5)? as usize;
-    let shards = flags.u64_or("shards", 1)?;
-    if shards == 0 {
-        return Err(CliError::new(
-            "--shards must be at least 1 (0 shards cannot hold any report)",
-        ));
-    }
-    let workers = flags.optional_u64("workers")?;
-    if workers == Some(0) {
+    let workers = flags.u64_or("workers", 1)? as usize;
+    if workers == 0 {
         return Err(CliError::new(
             "--workers must be at least 1 (0 workers cannot drain any report)",
         ));
@@ -233,26 +204,14 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
         ClientPool::with_obs(ClientConfig::for_loloha(k, params), seed, index.len(), &reg)
             .map_err(CliError::new)?;
 
-    // The server side: by default the shared sharded aggregator (the
-    // pool's dense user-index range splits into one contiguous chunk per
-    // shard, each sanitized on its own thread); with `--workers` (or
-    // `--checkpoint`) the concurrent ingest pipeline, routing by a stable
-    // hash of the user's dense pool index (the routing key for a given
-    // user therefore depends on which other users appear in the input,
-    // not just their id). The merge is an order-independent sum, so the
-    // estimates are deterministic and placement-independent either way.
-    let piped_workers = workers.unwrap_or(1).max(1) as usize;
-    let mut collector = if workers.is_some() || store.is_some() {
-        Collector::Piped(
-            IngestPipeline::for_loloha_obs(k, params, piped_workers, &reg)
-                .map_err(CliError::new)?,
-        )
-    } else {
-        Collector::Direct(
-            ShardedAggregator::for_loloha_obs(k, params, shards as usize, &reg)
-                .map_err(CliError::new)?,
-        )
-    };
+    // The server side: the concurrent ingest pipeline, routing by a
+    // stable hash of the user's dense pool index (the routing key for a
+    // given user therefore depends on which other users appear in the
+    // input, not just their id). The merge is an order-independent sum,
+    // so the estimates are deterministic and independent of the worker
+    // count.
+    let mut pipe =
+        IngestPipeline::for_loloha_obs(k, params, workers, &reg).map_err(CliError::new)?;
 
     let mut out = format!(
         "LOLOHA collect: k = {k}, g = {}, eps_inf = {eps_inf}, eps_1 = {:.3}, cap = {:.1}\n",
@@ -267,8 +226,7 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
     let mut seg_written = 0usize;
     let mut seg_possible = 0usize;
     for (round, entries) in &rounds {
-        // Entries mapped to dense pool indices: the ingest routing key
-        // and the direct path's shard placement.
+        // Entries mapped to dense pool indices, the ingest routing key.
         let assignments: Vec<(usize, u64)> = entries.iter().map(|&(u, v)| (index[&u], v)).collect();
         // With a durability drill pending, split the round at its
         // midpoint: sanitize the first half, persist + restore (a
@@ -284,30 +242,21 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
             if range.is_empty() && part_i == 1 {
                 continue;
             }
-            match &mut collector {
-                Collector::Direct(agg) => pool.sanitize_assignments_into_shards(
-                    &assignments[range.clone()],
-                    agg.shards_mut(),
-                ),
-                Collector::Piped(pipe) => {
-                    let handle = pipe.handle();
-                    pool.sanitize_assignments(&assignments[range.clone()], piped_workers, &handle)
-                        .map_err(CliError::new)?;
-                }
-            }
+            pool.sanitize_assignments(&assignments[range], workers, &pipe.handle())
+                .map_err(CliError::new)?;
             if do_drill && part_i == 0 {
                 // Server half: persist the shard state, tear the pipeline
                 // down, resume mid-fill from the file.
-                if let (Some(store), Collector::Piped(pipe)) = (&store, &mut collector) {
+                if let Some(store) = &store {
                     store
                         .save(&pipe.checkpoint().map_err(CliError::new)?)
                         .map_err(CliError::new)?;
-                    let mut fresh = IngestPipeline::for_loloha_obs(k, params, piped_workers, &reg)
+                    let mut fresh = IngestPipeline::for_loloha_obs(k, params, workers, &reg)
                         .map_err(CliError::new)?;
                     fresh
                         .restore(&store.load().map_err(CliError::new)?)
                         .map_err(CliError::new)?;
-                    *pipe = fresh;
+                    pipe = fresh;
                 }
                 // Client half: persist every user's memo + RNG position
                 // and fold it back into a rebuilt pool. The pool state
@@ -333,7 +282,7 @@ pub fn run<R: BufRead>(argv: &[String], input: &mut R) -> Result<String, CliErro
                 seg_possible += stats.total;
             }
         }
-        let estimate = collector.finish_round()?;
+        let estimate = pipe.finish_round().map_err(CliError::new)?.estimate;
         let mut ranked: Vec<(usize, f64)> = estimate.iter().copied().enumerate().collect();
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         let shown: Vec<String> = ranked
@@ -459,33 +408,28 @@ mod tests {
     }
 
     #[test]
-    fn collect_output_is_shard_count_invariant() {
-        // The aggregator merge is deterministic, so spreading users over
-        // any number of shards must not change a single output byte.
+    fn collect_output_is_worker_count_invariant() {
+        // `--workers` only changes the collection topology (and the
+        // sanitize-thread count); the pipeline merge is an order-
+        // independent sum, so no output byte may change.
         let mut csv = String::from("round,user,value\n");
         for u in 0..120u64 {
             csv.push_str(&format!("0,{u},{}\n1,{u},{}\n", u % 6, (u + 1) % 6));
         }
         let args = "--k 6 --eps-inf 4.0 --alpha 0.5 --top 3";
         let reference = run(&argv(args), &mut input(&csv)).unwrap();
-        for shards in [3u64, 8] {
+        for workers in [1u64, 2, 3, 4, 8] {
             let got = run(
-                &argv(&format!("{args} --shards {shards}")),
+                &argv(&format!("{args} --workers {workers}")),
                 &mut input(&csv),
             )
             .unwrap();
-            assert_eq!(reference, got, "{shards} shards");
+            assert_eq!(reference, got, "{workers} workers");
         }
     }
 
     #[test]
-    fn zero_shards_and_zero_workers_are_rejected() {
-        let err = run(
-            &argv("--k 4 --eps-inf 1.0 --shards 0"),
-            &mut input("0,1,2\n"),
-        )
-        .unwrap_err();
-        assert!(err.message.contains("--shards must be at least 1"), "{err}");
+    fn zero_workers_and_the_shards_flag_are_rejected() {
         let err = run(
             &argv("--k 4 --eps-inf 1.0 --workers 0"),
             &mut input("0,1,2\n"),
@@ -495,27 +439,12 @@ mod tests {
             err.message.contains("--workers must be at least 1"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn pipeline_output_matches_direct_aggregation() {
-        // `--workers` only changes the collection topology (and the
-        // sanitize-thread count); the estimates — and therefore every
-        // output byte — must match the direct path.
-        let mut csv = String::from("round,user,value\n");
-        for u in 0..90u64 {
-            csv.push_str(&format!("0,{u},{}\n1,{u},{}\n", u % 5, (u + 2) % 5));
-        }
-        let args = "--k 5 --eps-inf 3.0 --alpha 0.5 --top 3";
-        let reference = run(&argv(args), &mut input(&csv)).unwrap();
-        for workers in [1u64, 2, 4] {
-            let got = run(
-                &argv(&format!("{args} --workers {workers}")),
-                &mut input(&csv),
-            )
-            .unwrap();
-            assert_eq!(reference, got, "{workers} workers");
-        }
+        let err = run(
+            &argv("--k 4 --eps-inf 1.0 --shards 2"),
+            &mut input("0,1,2\n"),
+        )
+        .unwrap_err();
+        assert!(err.message.contains("unknown flag"), "{err}");
     }
 
     #[test]
@@ -590,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn client_checkpoint_alone_works_on_the_direct_path() {
+    fn client_checkpoint_alone_works_at_every_worker_count() {
         let path = std::env::temp_dir().join(format!(
             "loloha_cli_collect_client_only_{}.ckpt",
             std::process::id()
@@ -601,14 +530,22 @@ mod tests {
         }
         let args = "--k 4 --eps-inf 2.0 --alpha 0.5 --top 2";
         let reference = run(&argv(args), &mut input(&csv)).unwrap();
-        let got = run(
-            &argv(&format!("{args} --client-checkpoint {}", path.display())),
-            &mut input(&csv),
-        )
-        .unwrap();
-        let (body, notice) = got.rsplit_once("client-checkpoint: ").expect("notice line");
-        assert_eq!(reference, body, "client-checkpointed run must match");
-        assert!(notice.contains("saved and restored mid-round"), "{notice}");
+        for workers in [1u64, 3] {
+            let got = run(
+                &argv(&format!(
+                    "{args} --workers {workers} --client-checkpoint {}",
+                    path.display()
+                )),
+                &mut input(&csv),
+            )
+            .unwrap();
+            let (body, notice) = got.rsplit_once("client-checkpoint: ").expect("notice line");
+            assert_eq!(
+                reference, body,
+                "client-checkpointed run at {workers} workers"
+            );
+            assert!(notice.contains("saved and restored mid-round"), "{notice}");
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -692,7 +629,7 @@ mod tests {
         )
         .unwrap();
         // Telemetry must not perturb the estimates: output identical to
-        // the uninstrumented direct run up to the trailing notice.
+        // the uninstrumented one-worker run up to the trailing notice.
         let (body, notice) = got.rsplit_once("metrics: ").expect("notice line");
         assert_eq!(reference, body, "metrics run must match");
         assert!(notice.contains("2 round(s)"), "{notice}");
@@ -710,7 +647,7 @@ mod tests {
         assert_eq!(snap.counter_total("ldp.client.pool.reports"), 160);
         assert_eq!(snap.counter_total("ldp.runtime.aggregator.rounds"), 2);
         assert!(snap.hist_count("ldp.client.pool.sanitize_ns") > 0);
-        // The piped rounds ride the batched transport: batch envelopes
+        // The rounds ride the batched transport: batch envelopes
         // were flushed and their fill histogram accounts every report.
         assert!(snap.counter_total("ldp.ingest.pipeline.batches_flushed") > 0);
         assert_eq!(snap.hist_sum("ldp.ingest.pipeline.batch_fill"), 160);
@@ -718,29 +655,40 @@ mod tests {
     }
 
     #[test]
-    fn sanitize_ns_holds_one_sample_per_pass_on_both_paths() {
-        // 80 users × 2 rounds: the direct path and the piped path each
-        // sanitize a round in one pass, so both record exactly 2 samples.
+    fn sanitize_ns_holds_one_sample_per_pass_at_every_worker_count() {
+        // 80 users × 2 rounds: every round is one sanitize pass, whatever
+        // the worker count, so each run records exactly 2 samples.
         let mut csv = String::from("round,user,value\n");
         for u in 0..80u64 {
             csv.push_str(&format!("0,{u},{}\n1,{u},{}\n", u % 5, (u + 2) % 5));
         }
         let args = "--k 5 --eps-inf 3.0 --alpha 0.5 --top 3";
-        for (tag, extra) in [("direct", ""), ("piped", " --workers 3")] {
+        for workers in [1u64, 3] {
             let path = std::env::temp_dir().join(format!(
-                "loloha_cli_collect_passes_{tag}_{}.json",
+                "loloha_cli_collect_passes_{workers}_{}.json",
                 std::process::id()
             ));
             run(
-                &argv(&format!("{args}{extra} --metrics {}", path.display())),
+                &argv(&format!(
+                    "{args} --workers {workers} --metrics {}",
+                    path.display()
+                )),
                 &mut input(&csv),
             )
             .unwrap();
             let (_, snap) =
                 ldp_obs::ObsSnapshot::parse_json_str(&std::fs::read_to_string(&path).unwrap())
                     .unwrap();
-            assert_eq!(snap.hist_count("ldp.client.pool.sanitize_ns"), 2, "{tag}");
-            assert_eq!(snap.counter_total("ldp.client.pool.reports"), 160, "{tag}");
+            assert_eq!(
+                snap.hist_count("ldp.client.pool.sanitize_ns"),
+                2,
+                "{workers} workers"
+            );
+            assert_eq!(
+                snap.counter_total("ldp.client.pool.reports"),
+                160,
+                "{workers} workers"
+            );
             std::fs::remove_file(&path).ok();
         }
     }

@@ -35,8 +35,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         "eps-inf",
         "alpha",
         "workers",
-        "channel-capacity",
-        "batch-reports",
         "idle-timeout-ms",
         "checkpoint-every",
         "dir",
@@ -58,18 +56,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
             return Err(CliError::new("--workers must be at least 1"));
         }
         cfg.workers = workers as usize;
-    }
-    if let Some(cap) = flags.optional_u64("channel-capacity")? {
-        if cap == 0 {
-            return Err(CliError::new("--channel-capacity must be at least 1"));
-        }
-        cfg.channel_capacity = cap as usize;
-    }
-    if let Some(batch) = flags.optional_u64("batch-reports")? {
-        if batch == 0 {
-            return Err(CliError::new("--batch-reports must be at least 1"));
-        }
-        cfg.batch_reports = batch as usize;
     }
     if let Some(ms) = flags.optional_u64("idle-timeout-ms")? {
         cfg.idle_timeout = Some(Duration::from_millis(ms));
@@ -153,6 +139,13 @@ mod tests {
             run(&argv("--method biloloha --k 8 --eps-inf 1.0 --nope 1")).is_err(),
             "unknown flag"
         );
+        for removed in ["channel-capacity", "batch-reports"] {
+            let err = run(&argv(&format!(
+                "--method biloloha --k 8 --eps-inf 1.0 --{removed} 4"
+            )))
+            .unwrap_err();
+            assert!(err.message.contains("unknown flag"), "--{removed}: {err}");
+        }
     }
 
     #[test]

@@ -71,13 +71,12 @@ USAGE:
   loloha-cli simulate --method M --dataset D --eps-inf E --alpha A
                       [--runs R] [--n-frac F] [--tau-frac F] [--seed S]
   loloha-cli collect  --k K --eps-inf E --alpha A [--optimal] [--seed S]
-                      [--shards N] [--workers N] [--checkpoint PATH]
+                      [--workers N] [--checkpoint PATH]
                       (reads `round,user,value` CSV lines from stdin;
-                       --shards N sanitizes on N threads, each filling
-                       its own aggregator shard; --workers collects
-                       through the concurrent ingest pipeline,
-                       --checkpoint persists + restores the shard state
-                       mid-round)
+                       collects through the concurrent ingest pipeline
+                       with N workers (default 1), sanitizing on N
+                       threads; --checkpoint persists + restores the
+                       shard state mid-round)
   loloha-cli asr      --k K --eps-inf E --alpha A [--seed S]
   loloha-cli bench    [--config SPEC] [--name N] [--out-dir DIR]
                       [--dataset D] [--methods M,..] [--eps E,..]
@@ -88,7 +87,6 @@ USAGE:
                        next to its per-cell checkpoint N.sweep.ckpt)
   loloha-cli collectd --method M --k K --eps-inf E [--alpha A]
                       [--addr HOST:PORT] [--addr-file PATH] [--workers N]
-                      [--channel-capacity N] [--batch-reports N]
                       [--idle-timeout-ms MS] [--checkpoint-every N]
                       [--dir DIR] [--metrics PATH]
                       (TCP ingestion daemon; announces its bound address

@@ -335,19 +335,6 @@ impl ClientPool {
         )
     }
 
-    /// [`Self::sanitize_assignments`] straight into aggregator shards, one
-    /// scoped thread per shard (the CLI's direct path).
-    ///
-    /// # Panics
-    /// Panics if an assignment names an out-of-range user or `shards` is empty.
-    pub fn sanitize_assignments_into_shards(
-        &mut self,
-        assignments: &[(usize, u64)],
-        shards: &mut [Shard],
-    ) {
-        let Ok(()) = self.drive(Round::Sparse(assignments), shards);
-    }
-
     /// The one sanitize loop behind every round method. Users split into
     /// `sinks.len()` contiguous chunks; chunk `i` sanitizes its share of
     /// `round` on its own scoped thread into `sinks[i]` (see

@@ -8,19 +8,17 @@
 //! deployments:
 //!
 //! * [`IngestPipeline`] — a worker-per-shard thread pool over bounded
-//!   `mpsc` channels: report envelopes (packed report batches,
-//!   pre-aggregated histograms, or expand-on-worker tasks) are routed to
-//!   a worker, drained into its own [`ldp_runtime::Shard`], and
-//!   merged at round close. Bounded channels give backpressure instead of
-//!   unbounded buffering.
+//!   `mpsc` channels: packed report batches are routed to a worker,
+//!   drained into its own [`ldp_runtime::Shard`], and merged at round
+//!   close. Bounded channels give backpressure instead of unbounded
+//!   buffering.
 //! * [`BatchSubmitter`] / [`ReportBatch`] — the one report transport,
 //!   zero-alloc in steady state: reports pack into recycled per-shard
 //!   buffers — `u32` index lists, or bit rows for dense supports — and
 //!   cross the channel one envelope per [`DEFAULT_BATCH_REPORTS`]
 //!   reports (see the [`batch`] module).
-//! * [`Router`] — deterministic report → shard placement (stable key hash
-//!   for reports, round-robin for pre-aggregated histograms), so replays
-//!   fill the same shards.
+//! * [`Router`] — deterministic report → shard placement (a stable hash
+//!   of the report's key), so replays fill the same shards.
 //! * [`ShardStore`] / [`ShardCheckpoint`] — a versioned, length-prefixed,
 //!   checksummed binary snapshot of per-shard counts + report totals with
 //!   atomic file replacement, so a collection round can resume *mid-fill*

@@ -2,8 +2,8 @@
 //!
 //! An [`IngestPipeline`] owns N OS threads, each draining a bounded
 //! `mpsc` channel of report envelopes into its own [`Shard`]. Submission
-//! (routing + channel send) is cheap; expansion and accumulation happen on
-//! the worker. Backpressure is the channel bound: when a worker falls
+//! (routing + channel send) is cheap; accumulation happens on the worker.
+//! Backpressure is the channel bound: when a worker falls
 //! behind, submitters block instead of buffering without limit.
 //!
 //! # Determinism contract
@@ -84,10 +84,9 @@ pub enum IngestError {
         /// The pipeline's aggregation dimension.
         dim: usize,
     },
-    /// A pre-aggregated batch's length differs from the aggregation
-    /// dimension.
+    /// A restored shard's length differs from the aggregation dimension.
     BatchLenMismatch {
-        /// The batch's length.
+        /// The shard's length.
         got: usize,
         /// The pipeline's aggregation dimension.
         dim: usize,
@@ -99,7 +98,7 @@ pub enum IngestError {
         /// The pipeline's aggregation dimension.
         dim: usize,
     },
-    /// A worker thread is gone (it panicked on a poisoned task); the
+    /// A worker thread is gone (it panicked or was shut down); the
     /// pipeline can no longer guarantee complete rounds.
     WorkerLost,
 }
@@ -139,11 +138,8 @@ enum Envelope {
     /// The worker drains it in one pass (a slice walk, or the bit-plane
     /// row fold) and recycles the buffer through the free-list.
     Reports(ReportBatch),
-    /// A pre-aggregated partial histogram covering `u64` reports.
-    Batch(Vec<u64>, u64),
-    /// Work expanded on the worker (e.g. hash-preimage enumeration), so
-    /// submission stays cheap while the O(k) part parallelizes.
-    Task(Box<dyn FnOnce(&mut Shard) + Send>),
+    /// A saved shard state folded back in by [`IngestPipeline::restore`].
+    Restore(ShardState),
     /// Barrier: reply with the current state, keep accumulating.
     Flush(SyncSender<ShardState>),
     /// Barrier: reply with the current state, then reset for a new round.
@@ -163,8 +159,6 @@ struct PipelineObs {
     /// adds its whole report count, so the total is envelope-shape
     /// independent.
     routed: Vec<Counter>,
-    batch_reports: Counter,
-    batch_size: Histogram,
     /// Flushed [`BatchSubmitter`] envelopes.
     batches_flushed: Counter,
     /// Reports per flushed batch (count = batches, sum = reports).
@@ -172,8 +166,6 @@ struct PipelineObs {
     send_blocked: Counter,
     send_blocked_ns: Histogram,
     env_reports: Counter,
-    env_batch: Counter,
-    env_task: Counter,
     env_flush: Counter,
     env_end_round: Counter,
 }
@@ -185,15 +177,11 @@ impl PipelineObs {
             routed: (0..workers)
                 .map(|w| obs.counter_indexed("ldp.ingest.pipeline.reports_routed", w as u32))
                 .collect(),
-            batch_reports: obs.counter("ldp.ingest.pipeline.batch_reports"),
-            batch_size: obs.histogram("ldp.ingest.pipeline.batch_size"),
             batches_flushed: obs.counter("ldp.ingest.pipeline.batches_flushed"),
             batch_fill: obs.histogram("ldp.ingest.pipeline.batch_fill"),
             send_blocked: obs.counter("ldp.ingest.pipeline.send_blocked"),
             send_blocked_ns: obs.histogram("ldp.ingest.pipeline.send_blocked_ns"),
             env_reports: obs.counter_labeled(ENVELOPES, "report_batch"),
-            env_batch: obs.counter_labeled(ENVELOPES, "batch"),
-            env_task: obs.counter_labeled(ENVELOPES, "task"),
             env_flush: obs.counter_labeled(ENVELOPES, "flush"),
             env_end_round: obs.counter_labeled(ENVELOPES, "end_round"),
         }
@@ -219,15 +207,9 @@ fn send_tracked(
             obs.batch_fill.record(reports);
             obs.routed[worker].inc_by(reports);
         }
-        Envelope::Batch(_, reports) => {
-            obs.env_batch.inc();
-            obs.batch_reports.inc_by(*reports);
-            obs.batch_size.record(*reports);
-        }
-        Envelope::Task(_) => obs.env_task.inc(),
         Envelope::Flush(_) => obs.env_flush.inc(),
         Envelope::EndRound(_) => obs.env_end_round.inc(),
-        Envelope::Shutdown => {}
+        Envelope::Restore(_) | Envelope::Shutdown => {}
     }
     match tx.try_send(envelope) {
         Ok(()) => Ok(()),
@@ -252,8 +234,7 @@ fn worker_loop(dim: usize, rx: Receiver<Envelope>, pool: BufferPool) {
                 batch.clear();
                 pool.give(batch);
             }
-            Envelope::Batch(counts, reports) => shard.add_batch(&counts, reports),
-            Envelope::Task(task) => task(&mut shard),
+            Envelope::Restore(state) => shard.add_batch(&state.counts, state.reports),
             Envelope::Flush(reply) => {
                 let _ = reply.send(ShardState::of(&shard));
             }
@@ -558,30 +539,6 @@ impl IngestPipeline {
         send_tracked(&self.obs, worker, &self.txs[worker], envelope)
     }
 
-    /// Submits a pre-aggregated partial histogram covering `reports`
-    /// reports, round-robin on submission order.
-    pub fn submit_batch(&mut self, counts: Vec<u64>, reports: u64) -> Result<(), IngestError> {
-        if counts.len() != self.agg.dim() {
-            return Err(IngestError::BatchLenMismatch {
-                got: counts.len(),
-                dim: self.agg.dim(),
-            });
-        }
-        let worker = self.router.route_next();
-        self.send(worker, Envelope::Batch(counts, reports))
-    }
-
-    /// Submits work that expands *on the worker* — e.g. enumerating hash
-    /// preimages before counting — routed by a stable hash of `key`. The
-    /// task must only add to the shard it is given; a panicking task kills
-    /// its worker and surfaces as [`IngestError::WorkerLost`] later.
-    pub fn submit_task<F>(&mut self, key: u64, task: F) -> Result<(), IngestError>
-    where
-        F: FnOnce(&mut Shard) + Send + 'static,
-    {
-        self.send(self.router.route_key(key), Envelope::Task(Box::new(task)))
-    }
-
     /// Collects one reply per worker after a barrier envelope.
     fn barrier<B>(&self, make: B) -> Result<Vec<ShardState>, IngestError>
     where
@@ -623,9 +580,10 @@ impl IngestPipeline {
 
     /// Folds a previously captured checkpoint back in, resuming its round
     /// mid-fill. The checkpoint may come from a run with a *different*
-    /// worker count: saved shard states are redistributed round-robin, and
-    /// the order-independent merge makes the final round bit-identical
-    /// either way.
+    /// worker count: saved shard `j` is folded into worker
+    /// `j % workers`, and the order-independent merge makes the final
+    /// round bit-identical either way. A rejected checkpoint folds in
+    /// nothing.
     pub fn restore(&mut self, cp: &ShardCheckpoint) -> Result<(), IngestError> {
         if cp.dim != self.agg.dim() {
             return Err(IngestError::CheckpointDimMismatch {
@@ -633,14 +591,14 @@ impl IngestPipeline {
                 dim: self.agg.dim(),
             });
         }
-        for state in &cp.shards {
-            if state.counts.len() != cp.dim {
-                return Err(IngestError::BatchLenMismatch {
-                    got: state.counts.len(),
-                    dim: cp.dim,
-                });
-            }
-            self.submit_batch(state.counts.clone(), state.reports)?;
+        if let Some(bad) = cp.shards.iter().find(|s| s.counts.len() != cp.dim) {
+            return Err(IngestError::BatchLenMismatch {
+                got: bad.counts.len(),
+                dim: cp.dim,
+            });
+        }
+        for (j, state) in cp.shards.iter().enumerate() {
+            self.send(j % self.txs.len(), Envelope::Restore(state.clone()))?;
         }
         Ok(())
     }
@@ -803,11 +761,52 @@ mod tests {
     fn batch_length_mismatch_is_rejected() {
         let mut pipe =
             IngestPipeline::for_method_obs(Method::LGrr, 4, 2.0, 1.0, 2, &off()).unwrap();
-        let err = pipe.submit_batch(vec![0; 3], 1).unwrap_err();
+        let cp = ShardCheckpoint {
+            dim: 4,
+            shards: vec![
+                ShardState {
+                    counts: vec![1, 1, 0, 0],
+                    reports: 2,
+                },
+                ShardState {
+                    counts: vec![0; 3],
+                    reports: 1,
+                },
+            ],
+        };
+        let err = pipe.restore(&cp).unwrap_err();
         assert!(matches!(
             err,
             IngestError::BatchLenMismatch { got: 3, dim: 4 }
         ));
+        // The valid shard ahead of the short one was not folded in.
+        assert_eq!(pipe.finish_round().unwrap().reports, 0);
+    }
+
+    #[test]
+    fn restore_places_saved_shard_j_on_worker_j_mod_workers() {
+        let mut pipe =
+            IngestPipeline::for_method_obs(Method::LGrr, 3, 2.0, 1.0, 2, &off()).unwrap();
+        let saved = |i: usize, reports: u64| ShardState {
+            counts: (0..3).map(|v| u64::from(v == i) * reports).collect(),
+            reports,
+        };
+        let cp = ShardCheckpoint {
+            dim: 3,
+            shards: vec![saved(0, 1), saved(1, 2), saved(2, 4)],
+        };
+        pipe.restore(&cp).unwrap();
+        let placed = pipe.checkpoint().unwrap().shards;
+        assert_eq!(
+            placed,
+            vec![
+                ShardState {
+                    counts: vec![1, 0, 4],
+                    reports: 5,
+                },
+                saved(1, 2),
+            ]
+        );
     }
 
     #[test]
@@ -857,21 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn tasks_expand_on_the_worker() {
-        let mut pipe =
-            IngestPipeline::for_method_obs(Method::LGrr, 6, 2.0, 1.0, 2, &off()).unwrap();
-        for i in 0..30u64 {
-            pipe.submit_task(i, move |shard| {
-                shard.add_report([(i % 6) as usize]);
-            })
-            .unwrap();
-        }
-        let snap = pipe.finish_round().unwrap();
-        assert_eq!(snap.reports, 30);
-        assert_eq!(snap.counts.iter().sum::<u64>(), 30);
-    }
-
-    #[test]
     fn dropping_the_pipeline_with_a_live_handle_does_not_hang() {
         let pipe = IngestPipeline::for_method_obs(Method::LGrr, 4, 2.0, 1.0, 2, &off()).unwrap();
         let mut sub = pipe.handle().batching(1);
@@ -901,7 +885,14 @@ mod tests {
             sub.submit(i, [(i % 4) as usize]).unwrap();
         }
         sub.finish().unwrap();
-        pipe.submit_batch(vec![1, 0, 0, 0], 5).unwrap();
+        pipe.restore(&ShardCheckpoint {
+            dim: 4,
+            shards: vec![ShardState {
+                counts: vec![1, 0, 0, 0],
+                reports: 5,
+            }],
+        })
+        .unwrap();
         assert_eq!(pipe.finish_round().unwrap().reports, 105);
 
         let snap = reg.snapshot();
@@ -910,11 +901,9 @@ mod tests {
             snap.counter_total("ldp.ingest.pipeline.reports_routed"),
             100
         );
-        assert_eq!(snap.counter_total("ldp.ingest.pipeline.batch_reports"), 5);
-        assert_eq!(snap.hist_count("ldp.ingest.pipeline.batch_size"), 1);
-        // Envelope counts by kind: 100 report batches, 1 pre-aggregated
-        // batch, 2 end_round barriers (one per worker).
-        assert_eq!(snap.counter_total("ldp.ingest.pipeline.envelopes"), 103);
+        // Envelope counts by kind: 100 report batches and 2 end_round
+        // barriers (one per worker); the restore envelope is not counted.
+        assert_eq!(snap.counter_total("ldp.ingest.pipeline.envelopes"), 102);
         // A ~1k-deep channel never fills at this scale: the backpressure
         // signal must stay exactly zero in the unconstrained case.
         assert_eq!(snap.counter_total("ldp.ingest.pipeline.send_blocked"), 0);
@@ -1106,22 +1095,26 @@ mod tests {
         assert_snap_eq(&want, &got, "mid-batch checkpoint resume");
     }
 
+    /// Parks the only worker of `pipe`: it takes a flush barrier whose
+    /// reply channel has no buffer, so it blocks answering until the
+    /// returned releaser thread receives the reply 40 ms from now.
+    fn park_worker(pipe: &IngestPipeline) -> JoinHandle<()> {
+        let (reply_tx, reply_rx) = mpsc::sync_channel(0);
+        pipe.send(0, Envelope::Flush(reply_tx)).unwrap();
+        std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(40));
+            let _ = reply_rx.recv();
+        })
+    }
+
     #[test]
     fn batched_submission_trips_the_backpressure_instruments() {
-        // One worker parked on a gate behind a capacity-1 channel, so the
-        // second flushed batch deterministically finds the queue full.
+        // One parked worker behind a capacity-1 channel, so the second
+        // flushed batch deterministically finds the queue full.
         let reg = MetricsRegistry::new();
         let agg = ShardedAggregator::for_method_obs(Method::LGrr, 4, 2.0, 1.0, 1, &reg).unwrap();
         let mut pipe = IngestPipeline::from_aggregator_obs(agg, 1, &reg);
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        pipe.submit_task(0, move |_| {
-            let _ = gate_rx.recv();
-        })
-        .unwrap();
-        let releaser = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(40));
-            let _ = gate_tx.send(());
-        });
+        let releaser = park_worker(&pipe);
         let mut sub = pipe.handle().batching(1);
         sub.submit(1, [0usize]).unwrap();
         sub.submit(2, [1usize]).unwrap();
@@ -1142,28 +1135,19 @@ mod tests {
 
     #[test]
     fn tiny_channel_bound_trips_the_backpressure_instruments() {
-        // One worker, capacity-1 channel, fed through the pipeline's own
-        // send path (pre-aggregated partial histograms). The first
-        // envelope is a task that parks the worker on a gate; with the
-        // worker parked, at most one more envelope fits in the channel,
-        // so by the third send `try_send` deterministically observes a
-        // full queue.
+        // One worker, capacity-1 channel, fed one report batch per flush.
+        // The worker is parked answering a barrier; with it parked, at
+        // most one more envelope fits in the channel, so by the second
+        // flush `try_send` deterministically observes a full queue.
         let reg = MetricsRegistry::new();
         let agg = ShardedAggregator::for_method_obs(Method::LGrr, 4, 2.0, 1.0, 1, &reg).unwrap();
         let mut pipe = IngestPipeline::from_aggregator_obs(agg, 1, &reg);
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        pipe.submit_task(0, move |_| {
-            let _ = gate_rx.recv();
-        })
-        .unwrap();
-        // Opens the gate 40ms from now, while the main thread sits in the
-        // blocking send below.
-        let releaser = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(40));
-            let _ = gate_tx.send(());
-        });
-        pipe.submit_batch(vec![1, 0, 0, 0], 1).unwrap();
-        pipe.submit_batch(vec![0, 1, 0, 0], 1).unwrap();
+        let releaser = park_worker(&pipe);
+        let mut sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
+        sub.submit(1, [0usize]).unwrap();
+        sub.flush().unwrap();
+        sub.submit(2, [1usize]).unwrap();
+        sub.finish().unwrap();
         releaser.join().unwrap();
         assert_eq!(pipe.finish_round().unwrap().reports, 2);
 
@@ -1175,6 +1159,6 @@ mod tests {
             blocked
         );
         assert!(snap.hist_sum("ldp.ingest.pipeline.send_blocked_ns") > 0);
-        assert_eq!(snap.counter_total("ldp.ingest.pipeline.batch_reports"), 2);
+        assert_eq!(snap.counter_total("ldp.ingest.pipeline.batches_flushed"), 2);
     }
 }

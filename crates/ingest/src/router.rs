@@ -3,15 +3,10 @@
 //! The pipeline's determinism contract does **not** depend on which worker
 //! a report lands on — merged results are an order-independent sum — but
 //! checkpoints capture *per-shard* state, so replaying the same submission
-//! sequence must fill the same shards. Both routing modes guarantee that:
-//!
-//! * **Stable hash**: a report carrying a routing key (user id, report
-//!   index, stream offset) always maps to `mix(key) % workers`, independent
-//!   of submission timing or the submitting thread.
-//! * **Round-robin**: keyless pre-aggregated histograms (checkpoint
-//!   restores included) cycle through the workers in submission order
-//!   (only meaningful from a single submitting thread; multi-threaded
-//!   submitters route by key).
+//! sequence must fill the same shards. Routing is a stable hash: a report
+//! carrying a routing key (user id, report index, stream offset) always
+//! maps to `mix(key) % workers`, independent of submission timing or the
+//! submitting thread.
 
 use ldp_rand::mix;
 
@@ -19,7 +14,6 @@ use ldp_rand::mix;
 #[derive(Debug, Clone)]
 pub struct Router {
     workers: usize,
-    cursor: usize,
 }
 
 impl Router {
@@ -27,7 +21,6 @@ impl Router {
     pub fn new(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
-            cursor: 0,
         }
     }
 
@@ -41,13 +34,6 @@ impl Router {
     #[inline]
     pub fn route_key(&self, key: u64) -> usize {
         (mix(key) % self.workers as u64) as usize
-    }
-
-    /// Routes a keyless report round-robin on submission order.
-    pub fn route_next(&mut self) -> usize {
-        let w = self.cursor;
-        self.cursor = (self.cursor + 1) % self.workers;
-        w
     }
 }
 
@@ -76,17 +62,9 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles() {
-        let mut r = Router::new(3);
-        let seq: Vec<usize> = (0..7).map(|_| r.route_next()).collect();
-        assert_eq!(seq, vec![0, 1, 2, 0, 1, 2, 0]);
-    }
-
-    #[test]
     fn zero_workers_clamps_to_one() {
-        let mut r = Router::new(0);
+        let r = Router::new(0);
         assert_eq!(r.workers(), 1);
         assert_eq!(r.route_key(99), 0);
-        assert_eq!(r.route_next(), 0);
     }
 }

@@ -3,7 +3,7 @@
 //! ingestion through the batched transport is bit-identical to a
 //! single-threaded `ShardedAggregator` replay.
 
-use ldp_ingest::{IngestPipeline, DEFAULT_BATCH_REPORTS};
+use ldp_ingest::{IngestPipeline, ShardCheckpoint, ShardState, DEFAULT_BATCH_REPORTS};
 use ldp_obs::MetricsRegistry;
 use ldp_rand::{derive_rng, uniform_u64};
 use ldp_runtime::{AggregateSnapshot, Method, ShardedAggregator};
@@ -154,11 +154,11 @@ proptest! {
         assert_bit_identical(&want, &got, &format!("{method:?} full round"));
     }
 
-    /// Routing mode (stable key hash for reports, round-robin for
-    /// pre-aggregated batches) never changes the merged result — only
-    /// shard placement.
+    /// A pre-aggregated histogram restored into a pipeline is
+    /// bit-identical to submitting its reports one by one, keyed — only
+    /// shard placement differs.
     #[test]
-    fn routing_mode_does_not_change_results(
+    fn restored_histogram_matches_keyed_submission(
         k in 6u64..16,
         n in 1usize..40,
         seed in any::<u64>(),
@@ -177,9 +177,17 @@ proptest! {
             }
         }
         sub.finish().expect("workers alive");
-        by_batch.submit_batch(batch, n as u64).expect("submit");
+        by_batch
+            .restore(&ShardCheckpoint {
+                dim,
+                shards: vec![ShardState {
+                    counts: batch,
+                    reports: n as u64,
+                }],
+            })
+            .expect("restore");
         let a = by_key.finish_round().expect("workers alive");
         let c = by_batch.finish_round().expect("workers alive");
-        assert_bit_identical(&a, &c, "key vs pre-aggregated batch");
+        assert_bit_identical(&a, &c, "key vs restored histogram");
     }
 }

@@ -68,10 +68,10 @@ fn main() {
 
     // --- Shuffle-model round through the concurrent ingest pipeline -----
     // Reports travel as (hash, cell) pairs with no user identifier; the
-    // shuffler permutes them and each report is submitted as an
-    // expand-on-worker task: the O(k) hash-preimage enumeration runs on
-    // one of four shard workers, not on the submitting thread. Halfway
-    // through the stream the demo takes a non-destructive snapshot,
+    // shuffler permutes them, and each report's support (the preimages
+    // of its cell under its hash) is batched by a `BatchSubmitter` into
+    // one of four shard workers. Halfway through the stream the demo
+    // flushes the submitter, takes a non-destructive snapshot,
     // persists a shard-state checkpoint, tears the whole pipeline down (a
     // simulated collector restart) and resumes mid-fill from the encoded
     // bytes — the final estimate is unaffected, because the restore is an
@@ -92,12 +92,18 @@ fn main() {
     // drill, its replacement) records into it; the registry outlives any
     // one pipeline instance, so counters survive the "crash".
     let reg = MetricsRegistry::new();
-    let submitted = reg.counter_labeled("ldp.ingest.pipeline.envelopes", "task");
+    let routed = || {
+        reg.snapshot()
+            .counter_total("ldp.ingest.pipeline.reports_routed")
+    };
     let mut pipe = IngestPipeline::for_loloha_obs(k, params, workers, &reg).expect("valid params");
+    let mut sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
     let midpoint = anon.len() / 2;
     for (i, r) in anon.iter().enumerate() {
         if i == midpoint {
-            // Halfway through the stream: peek without closing the round.
+            // Halfway through the stream: hand the buffered reports to
+            // the workers, then peek without closing the round.
+            sub.flush().expect("workers alive");
             let snap = pipe.snapshot().expect("workers alive");
             let (screen, freq) = top_screen(&snap.estimate);
             println!(
@@ -106,7 +112,7 @@ fn main() {
                 anon.len()
             );
             // Durability drill: checkpoint, "crash", restore, continue.
-            let before = submitted.get();
+            let before = routed();
             assert_eq!(
                 before, midpoint as u64,
                 "telemetry saw every pre-crash submission"
@@ -119,23 +125,21 @@ fn main() {
             // Restoring replays saved *state*, never telemetry: the
             // counter neither resets nor double-counts.
             assert_eq!(
-                submitted.get(),
+                routed(),
                 before,
                 "restart drill must not disturb the counters"
             );
+            sub = pipe.handle().batching(DEFAULT_BATCH_REPORTS);
             println!(
                 "  checkpointed {} bytes, restarted the pipeline, resumed mid-round",
                 bytes.len()
             );
         }
-        let hash = r.hash;
-        let cell = r.cell;
-        pipe.submit_task(i as u64, move |shard| {
-            let pre = Preimages::build(&hash, k);
-            shard.add_report(pre.cell(cell).iter().map(|&v| v as usize));
-        })
-        .expect("workers alive");
+        let pre = Preimages::build(&r.hash, k);
+        sub.submit(i as u64, pre.cell(r.cell).iter().map(|&v| v as usize))
+            .expect("preimages lie in the domain");
     }
+    sub.finish().expect("workers alive");
     let final_round = pipe.finish_round().expect("workers alive");
     let (screen, freq) = top_screen(&final_round.estimate);
     println!(
@@ -150,11 +154,11 @@ fn main() {
     );
 
     // --- Operator telemetry panel --------------------------------------
-    // Every envelope the round submitted is accounted for, across the
+    // Every report the round submitted is accounted for, across the
     // restart; the rendered snapshot is the registry's full contents
     // (operational aggregates only — no report ever reaches a metric).
     assert_eq!(
-        submitted.get(),
+        routed(),
         anon.len() as u64,
         "telemetry accounts every submission end to end"
     );
