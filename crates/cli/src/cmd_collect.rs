@@ -408,10 +408,10 @@ mod tests {
     }
 
     #[test]
-    fn collect_output_is_worker_count_invariant() {
-        // `--workers` only changes the collection topology (and the
-        // sanitize-thread count); the pipeline merge is an order-
-        // independent sum, so no output byte may change.
+    fn collect_output_is_shard_count_invariant() {
+        // Each pipeline worker owns one shard, so `--workers N` spreads
+        // users over N shards (and N sanitize threads); the merge is an
+        // order-independent sum, so no output byte may change.
         let mut csv = String::from("round,user,value\n");
         for u in 0..120u64 {
             csv.push_str(&format!("0,{u},{}\n1,{u},{}\n", u % 6, (u + 1) % 6));
@@ -425,6 +425,51 @@ mod tests {
             )
             .unwrap();
             assert_eq!(reference, got, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn pipeline_output_matches_direct_aggregation() {
+        // Reference without the pipeline: the same pool (same seed, one
+        // dense slot per user) sanitizes each round straight into a
+        // one-shard in-process aggregator. Every round line `collect`
+        // prints through the pipeline must match it at any worker count.
+        let (n, k) = (90u64, 5u64);
+        let mut csv = String::from("round,user,value\n");
+        for u in 0..n {
+            csv.push_str(&format!("0,{u},{}\n1,{u},{}\n", u % k, (u + 2) % k));
+        }
+        let params = LolohaParams::bi(3.0, 1.5).unwrap();
+        let reg = MetricsRegistry::disabled();
+        let mut pool =
+            ClientPool::with_obs(ClientConfig::for_loloha(k, params), 7, n as usize, &reg).unwrap();
+        let mut agg = ldp_runtime::ShardedAggregator::for_loloha_obs(k, params, 1, &reg).unwrap();
+        let mut expected = Vec::new();
+        for (round, shift) in [(0u64, 0u64), (1, 2)] {
+            let values: Vec<u64> = (0..n).map(|u| (u + shift) % k).collect();
+            pool.sanitize_round_into_shards(&values, agg.shards_mut());
+            let estimate = agg.finish_round().estimate;
+            let mut ranked: Vec<(usize, f64)> = estimate.iter().copied().enumerate().collect();
+            ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+            let shown: Vec<String> = ranked
+                .iter()
+                .take(3)
+                .map(|(v, f)| format!("{v}:{f:.3}"))
+                .collect();
+            expected.push(format!(
+                "round {round}: n = {n}, top-3 = [{}]",
+                shown.join(", ")
+            ));
+        }
+        let args = "--k 5 --eps-inf 3.0 --alpha 0.5 --top 3";
+        for workers in [1u64, 2, 4] {
+            let got = run(
+                &argv(&format!("{args} --workers {workers}")),
+                &mut input(&csv),
+            )
+            .unwrap();
+            let rounds: Vec<&str> = got.lines().filter(|l| l.starts_with("round ")).collect();
+            assert_eq!(rounds, expected, "{workers} workers");
         }
     }
 
