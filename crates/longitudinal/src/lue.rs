@@ -11,7 +11,7 @@
 //! Server: per time step, sum reported bit vectors and invert both rounds
 //! with Eq. (3).
 
-use crate::accountant::{cap_classes_for, BudgetAccountant};
+use crate::accountant::cap_classes_for;
 use crate::chain::{ue_chain_params, ChainParams, UeChain};
 use crate::irr::IrrKernel;
 use crate::memo::UnaryMemo;
@@ -28,7 +28,6 @@ pub struct LongitudinalUeClient {
     prr_encoder: UeClient,
     irr: IrrKernel,
     memo: UnaryMemo,
-    accountant: BudgetAccountant,
 }
 
 impl LongitudinalUeClient {
@@ -47,7 +46,6 @@ impl LongitudinalUeClient {
             prr_encoder,
             irr,
             memo: UnaryMemo::new(cap_classes_for(k), k as usize),
-            accountant: BudgetAccountant::new(eps_inf, cap_classes_for(k)),
         })
     }
 
@@ -82,7 +80,6 @@ impl LongitudinalUeClient {
     pub fn report_into<R: RngCore + ?Sized>(&mut self, value: u64, rng: &mut R, out: &mut BitVec) {
         assert!((value as usize) < self.k, "value {value} outside domain");
         let class = value as u32;
-        self.accountant.observe(class);
         let blocks = match self.memo.get(class) {
             Some(blocks) => blocks,
             None => {
@@ -93,14 +90,15 @@ impl LongitudinalUeClient {
         self.irr.perturb_blocks_into(blocks, rng, out);
     }
 
-    /// The user's accumulated longitudinal privacy loss ε̌ (Eq. (8)).
+    /// The user's accumulated longitudinal privacy loss ε̌ (Eq. (8)): one
+    /// ε∞ per memoized value.
     pub fn privacy_spent(&self) -> f64 {
-        self.accountant.spent()
+        self.chain.eps_inf * self.memo.len() as f64
     }
 
     /// Number of distinct values memoized so far.
     pub fn distinct_values(&self) -> u32 {
-        self.accountant.classes_seen()
+        self.memo.len() as u32
     }
 
     /// Iterates the memoized `(class, PRR blocks)` pairs in class order
@@ -111,15 +109,13 @@ impl LongitudinalUeClient {
     }
 
     /// Restores a memoized PRR vector when rebuilding a client from a
-    /// snapshot, charging the accountant exactly as the original
-    /// memoization did.
+    /// snapshot; like the original memoization, it spends one ε∞.
     ///
     /// # Panics
     /// Panics if the class is already memoized or the block count differs
     /// from `ceil(k/64)`.
     pub fn restore_memo(&mut self, class: u32, blocks: &[u64]) {
         self.memo.insert(class, blocks);
-        self.accountant.observe(class);
     }
 }
 

@@ -6,10 +6,11 @@
 //!
 //! * [`SymbolMemo`] — for symbol-valued PRRs (L-GRR, LOLOHA): a flat
 //!   `Vec<u16>` indexed by input class, `u16::MAX` meaning "not memoized".
-//! * [`UnaryMemo`] — for bit-vector PRRs (RAPPOR / L-UE family): a `u16`
-//!   index table into a single grow-only arena of fixed-width bit blocks,
-//!   so each client performs O(distinct inputs) small allocations in one
-//!   contiguous buffer.
+//! * [`UnaryMemo`] — for bit-vector PRRs (RAPPOR / L-UE family): a dense
+//!   `u16` index table into fixed pages of 16 fixed-width bit rows. A page
+//!   is allocated only when the previous one is full, and rows never move,
+//!   so a user's memo holds at most 15 empty rows and no freed growth
+//!   holes.
 
 /// Sentinel for "no memoized entry".
 const EMPTY: u16 = u16::MAX;
@@ -23,9 +24,8 @@ pub struct SymbolMemo {
 impl SymbolMemo {
     /// Creates an empty memo over `classes` input classes.
     ///
-    /// # Panics
-    /// Panics if `classes` exceeds `u16::MAX` slots? No — classes may be up
-    /// to `u32`; only the *stored symbols* must fit in `u16 − 1`.
+    /// `classes` may be any `u32`; only the stored symbols must be below
+    /// `u16::MAX`, which [`Self::insert`] checks.
     pub fn new(classes: u32) -> Self {
         Self {
             table: vec![EMPTY; classes as usize],
@@ -78,11 +78,17 @@ impl SymbolMemo {
     }
 }
 
-/// Memoizes one fixed-width bit vector per input class, arena-backed.
+/// Rows per [`UnaryMemo`] page. A power of two, so splitting a row number
+/// into (page, slot) is a shift and a mask.
+const PAGE_ROWS: usize = 16;
+
+/// Memoizes one fixed-width bit vector per input class, in fixed pages of
+/// 16 rows: row `r` lives in page `r / 16`, slot `r % 16`, and never moves
+/// once written.
 #[derive(Debug, Clone)]
 pub struct UnaryMemo {
     index: Vec<u16>,
-    arena: Vec<u64>,
+    pages: Vec<Box<[u64]>>,
     blocks_per_entry: usize,
     entries: u16,
 }
@@ -93,10 +99,18 @@ impl UnaryMemo {
     pub fn new(classes: u32, bits: usize) -> Self {
         Self {
             index: vec![EMPTY; classes as usize],
-            arena: Vec::new(),
+            pages: Vec::new(),
             blocks_per_entry: bits.div_ceil(64),
             entries: 0,
         }
+    }
+
+    /// The blocks of row `row`.
+    #[inline]
+    fn row(&self, row: u16) -> &[u64] {
+        let (page, slot) = (row as usize / PAGE_ROWS, row as usize % PAGE_ROWS);
+        let start = slot * self.blocks_per_entry;
+        &self.pages[page][start..start + self.blocks_per_entry]
     }
 
     /// Looks up the memoized blocks for `class`.
@@ -104,10 +118,7 @@ impl UnaryMemo {
     pub fn get(&self, class: u32) -> Option<&[u64]> {
         match self.index[class as usize] {
             EMPTY => None,
-            idx => {
-                let start = idx as usize * self.blocks_per_entry;
-                Some(&self.arena[start..start + self.blocks_per_entry])
-            }
+            row => Some(self.row(row)),
         }
     }
 
@@ -122,13 +133,19 @@ impl UnaryMemo {
             self.index[class as usize], EMPTY,
             "memoization is write-once"
         );
-        assert!(self.entries < EMPTY, "memo arena full");
-        let idx = self.entries;
-        self.index[class as usize] = idx;
+        assert!(self.entries < EMPTY, "memo full");
+        let row = self.entries;
+        let (page, slot) = (row as usize / PAGE_ROWS, row as usize % PAGE_ROWS);
+        if slot == 0 {
+            self.pages
+                .push(vec![0; PAGE_ROWS * self.blocks_per_entry].into_boxed_slice());
+        }
+        self.index[class as usize] = row;
         self.entries += 1;
-        let start = self.arena.len();
-        self.arena.extend_from_slice(blocks);
-        &self.arena[start..start + self.blocks_per_entry]
+        let start = slot * self.blocks_per_entry;
+        let dst = &mut self.pages[page][start..start + self.blocks_per_entry];
+        dst.copy_from_slice(blocks);
+        dst
     }
 
     /// Number of memoized classes.
@@ -147,11 +164,8 @@ impl UnaryMemo {
         self.index
             .iter()
             .enumerate()
-            .filter(|(_, &idx)| idx != EMPTY)
-            .map(|(c, &idx)| {
-                let start = idx as usize * self.blocks_per_entry;
-                (c as u32, &self.arena[start..start + self.blocks_per_entry])
-            })
+            .filter(|(_, &row)| row != EMPTY)
+            .map(|(c, &row)| (c as u32, self.row(row)))
     }
 }
 
@@ -228,6 +242,43 @@ mod tests {
         u.insert(0, &[3]);
         let entries: Vec<(u32, Vec<u64>)> = u.iter().map(|(c, b)| (c, b.to_vec())).collect();
         assert_eq!(entries, vec![(0, vec![3]), (4, vec![7])]);
+    }
+
+    #[test]
+    fn unary_memo_round_trips_across_page_boundaries() {
+        let n = 3 * PAGE_ROWS as u32 + 1;
+        let classes = 2 * n;
+        let row = |c: u32| [u64::from(c) << 32 | 0xA5, !u64::from(c)];
+        // 2 blocks per entry, inserted in reverse class order so that row
+        // order and class order differ.
+        let mut m = UnaryMemo::new(classes, 128);
+        for c in (0..classes).rev().step_by(2) {
+            assert_eq!(m.insert(c, &row(c)), &row(c)[..]);
+        }
+        assert_eq!(m.len(), n as usize);
+        assert_eq!(m.pages.len(), 4);
+        for c in 0..classes {
+            let want = (c % 2 == 1).then(|| row(c));
+            assert_eq!(m.get(c), want.as_ref().map(|r| &r[..]), "class {c}");
+        }
+        let entries: Vec<(u32, Vec<u64>)> = m.iter().map(|(c, b)| (c, b.to_vec())).collect();
+        let want: Vec<(u32, Vec<u64>)> = (1..classes)
+            .step_by(2)
+            .map(|c| (c, row(c).to_vec()))
+            .collect();
+        assert_eq!(entries, want);
+    }
+
+    #[test]
+    fn unary_memo_rows_never_move() {
+        let mut m = UnaryMemo::new(101, 1412);
+        let first = m.insert(0, &[7; 23]).as_ptr();
+        for c in 1..=100 {
+            m.insert(c, &[u64::from(c); 23]);
+        }
+        let row0 = m.get(0).unwrap();
+        assert_eq!(row0.as_ptr(), first);
+        assert_eq!(row0, &[7; 23][..]);
     }
 
     #[test]
