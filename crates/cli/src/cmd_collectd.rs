@@ -7,6 +7,10 @@
 //! (the CI smoke drill, supervisors binding port 0) can discover the
 //! port before any traffic exists.
 //!
+//! `--workers N` sets the daemon's aggregation shard count (default 2).
+//! Each connection folds its frames into shard `worker_id % N` on its
+//! own thread; the daemon runs no ingest worker threads.
+//!
 //! Drain triggers, all equivalent: SIGTERM/SIGINT (the daemon installs
 //! the `ldp_netd::signal` latch), or an in-band `Shutdown` frame from a
 //! client (`loadgen --shutdown`). Every drain takes a final checkpoint

@@ -91,7 +91,9 @@ USAGE:
                       [--dir DIR] [--metrics PATH]
                       (TCP ingestion daemon; announces its bound address
                        eagerly, drains on SIGTERM or an in-band shutdown,
-                       resumes exactly-once from --dir)
+                       resumes exactly-once from --dir; folds each frame
+                       on its connection into one of N aggregation
+                       shards, default 2)
   loloha-cli loadgen  --addr HOST:PORT --method M --k K --eps-inf E
                       [--alpha A] [--users N] [--rounds R] [--workers N]
                       [--frame-reports N] [--seed S]

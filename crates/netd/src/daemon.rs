@@ -1,12 +1,16 @@
 //! `collectd`: the long-running TCP ingestion daemon.
 //!
-//! One daemon owns one [`IngestPipeline`] for one resolved protocol
-//! configuration. Remote loadgen workers connect over TCP, handshake
-//! with a [`Frame::Hello`] pinning the configuration fingerprint, and
-//! stream [`Frame::Submit`] batches; each accepted frame is applied to
-//! the pipeline through the bounded-channel batching transport (so
-//! socket pressure maps onto the pipeline's own backpressure) and
-//! acknowledged exactly once.
+//! One daemon aggregates under one resolved protocol configuration.
+//! Remote loadgen workers connect over TCP, handshake with a
+//! [`Frame::Hello`] pinning the configuration fingerprint, and stream
+//! [`Frame::Submit`] batches. The connection thread folds each accepted
+//! frame straight from its decoded [`ReportBatch`] into shard
+//! `worker_id % shards` (rows through the carry-save [`Shard::add_rows`],
+//! index lists through [`Shard::add_report_batch`]) and only then acks
+//! it, exactly once. There are no ingest worker threads: a running
+//! daemon has its accept thread, the latch watcher, and one thread per
+//! connection. A [`ShardedAggregator`] holds the method's metadata and
+//! turns the merged shards into each round's estimate.
 //!
 //! # Durability and exactly-once
 //!
@@ -22,10 +26,13 @@
 //!
 //! Consistency between shard state and the session table is enforced by
 //! a checkpoint gate (`RwLock`): connection threads hold the read side
-//! across [dedup check → apply+flush → high-water advance], the
-//! checkpointer holds the write side across [pipeline barrier → session
-//! snapshot → atomic save], so a checkpoint can never capture a frame's
-//! reports without its sequence advance or vice versa.
+//! across [dedup check → fold → high-water advance], the checkpointer
+//! holds the write side across [shard read → session snapshot → atomic
+//! save], so a checkpoint can never capture a frame's reports without
+//! its sequence advance or vice versa. A session always folds into the
+//! same shard, and its frame holds that shard's lock across the same
+//! three steps, so two connections claiming one session cannot both
+//! apply one sequence number.
 //!
 //! # Drain
 //!
@@ -49,9 +56,10 @@ use crate::error::{ErrorCode, NetError};
 use crate::proto::{config_fingerprint, Frame};
 use crate::signal;
 use crate::store::{NetCheckpoint, NetStore};
-use ldp_ingest::{BatchSubmitter, IngestHandle, IngestPipeline, Report, DEFAULT_BATCH_REPORTS};
+use ldp_ingest::{ReportBatch, ShardCheckpoint, ShardState};
 use ldp_obs::{Gauge, Histogram, MetricsRegistry, Span};
-use ldp_runtime::{Method, ShardedAggregator};
+use ldp_primitives::codec::CodecError;
+use ldp_runtime::{Method, Shard, ShardedAggregator};
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -83,14 +91,10 @@ pub struct DaemonConfig {
     pub eps_inf: f64,
     /// First-report budget (`ε_1`).
     pub eps_first: f64,
-    /// Ingest pipeline shard workers (clamped to ≥ 1).
+    /// Aggregation shards (clamped to ≥ 1). Session `worker_id` folds
+    /// into shard `worker_id % workers` on its own connection thread, so
+    /// this bounds how many sessions fold at once; it starts no threads.
     pub workers: usize,
-    /// Bound of each shard worker's envelope channel — the backpressure
-    /// depth socket ingestion is allowed before submitters block.
-    pub channel_capacity: usize,
-    /// Reports per in-process batch envelope (the submitter's flush
-    /// threshold; wire frames are flushed per-frame regardless).
-    pub batch_reports: usize,
     /// Close a connection that stays silent this long (`None` = never).
     pub idle_timeout: Option<Duration>,
     /// Take a durable checkpoint every this many applied submit frames
@@ -115,8 +119,6 @@ impl DaemonConfig {
             eps_inf,
             eps_first,
             workers: 2,
-            channel_capacity: ldp_ingest::DEFAULT_CHANNEL_CAPACITY,
-            batch_reports: DEFAULT_BATCH_REPORTS,
             idle_timeout: None,
             checkpoint_every: 64,
             dir: None,
@@ -151,8 +153,12 @@ struct SessionTable {
 }
 
 struct Shared {
-    pipeline: Mutex<IngestPipeline>,
-    handle: IngestHandle,
+    /// Method metadata and the estimator; its shards hold counts only
+    /// while a round end merges [`Shared::shards`] into them.
+    agg: Mutex<ShardedAggregator>,
+    /// The round's partial counts: session `w` folds into shard
+    /// `w % shards.len()`.
+    shards: Vec<Mutex<Shard>>,
     /// The checkpoint-consistency gate (see module docs).
     gate: RwLock<()>,
     sessions: Mutex<SessionTable>,
@@ -165,14 +171,13 @@ struct Shared {
     connections_served: AtomicU64,
     live_conns: AtomicU64,
     conn_gauge: Gauge,
-    /// Time of each submit frame's validation and application.
+    /// Time of each submit frame's validation, dedup check and fold.
     apply_ns: Histogram,
     store: Option<NetStore>,
     fingerprint: u64,
     method: Method,
     k: u64,
     dim: usize,
-    batch_reports: usize,
     idle_timeout: Option<Duration>,
     checkpoint_every: u64,
     kill_after_frames: Option<u64>,
@@ -187,12 +192,25 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Shared {
-    /// Takes one durable checkpoint under the write gate: pipeline
-    /// barrier, session snapshot, atomic save. Memory-only daemons just
-    /// refresh the durable session view.
+    /// Takes one durable checkpoint under the write gate: shard read,
+    /// session snapshot, atomic save. Memory-only daemons just refresh
+    /// the durable session view.
     fn checkpoint_now(&self) -> Result<NetCheckpoint, NetError> {
         let _gate = self.gate.write().unwrap_or_else(|e| e.into_inner());
-        let shards = lock(&self.pipeline).checkpoint()?;
+        let shards = ShardCheckpoint {
+            dim: self.dim,
+            shards: self
+                .shards
+                .iter()
+                .map(|shard| {
+                    let shard = lock(shard);
+                    ShardState {
+                        counts: shard.counts().to_vec(),
+                        reports: shard.reports(),
+                    }
+                })
+                .collect(),
+        };
         let mut sessions = lock(&self.sessions);
         let cp = NetCheckpoint {
             round: self.round.load(Ordering::SeqCst),
@@ -226,12 +244,23 @@ pub struct Collectd {
 }
 
 impl Collectd {
-    /// Builds the pipeline (resuming from a checkpoint in
-    /// [`DaemonConfig::dir`] if one exists), binds the listener, and
+    /// Builds the aggregator and its shards (resuming from a checkpoint
+    /// in [`DaemonConfig::dir`] if one exists), binds the listener, and
     /// spawns the accept loop.
     pub fn start(cfg: DaemonConfig, obs: &MetricsRegistry) -> Result<Self, NetError> {
-        let pipeline = build_pipeline(&cfg, obs)?;
-        let dim = pipeline.dim();
+        let agg = ShardedAggregator::for_method_obs(
+            cfg.method,
+            cfg.k,
+            cfg.eps_inf,
+            cfg.eps_first,
+            cfg.workers.max(1),
+            obs,
+        )
+        .map_err(|e| NetError::Pipeline(e.to_string()))?;
+        let dim = agg.dim();
+        let shards = (0..agg.shard_count())
+            .map(|_| Mutex::new(Shard::with_dim(dim)))
+            .collect();
         let fingerprint =
             config_fingerprint(cfg.method, cfg.k, dim as u64, cfg.eps_inf, cfg.eps_first);
         let store = match &cfg.dir {
@@ -242,10 +271,9 @@ impl Collectd {
             None => None,
         };
 
-        let handle = pipeline.handle();
         let shared = Arc::new(Shared {
-            pipeline: Mutex::new(pipeline),
-            handle,
+            agg: Mutex::new(agg),
+            shards,
             gate: RwLock::new(()),
             sessions: Mutex::new(SessionTable::default()),
             round: AtomicU64::new(0),
@@ -263,7 +291,6 @@ impl Collectd {
             method: cfg.method,
             k: cfg.k,
             dim,
-            batch_reports: cfg.batch_reports.max(1),
             idle_timeout: cfg.idle_timeout,
             checkpoint_every: cfg.checkpoint_every,
             kill_after_frames: cfg.kill_after_frames,
@@ -274,7 +301,7 @@ impl Collectd {
         if let Some(store) = &shared.store {
             if store.exists() {
                 let cp = store.load()?;
-                lock(&shared.pipeline).restore(&cp.shards)?;
+                restore_shards(&shared.shards, shared.dim, &cp.shards)?;
                 let mut sessions = lock(&shared.sessions);
                 sessions.applied = cp.sessions.clone();
                 sessions.durable = cp.sessions;
@@ -359,21 +386,40 @@ impl Drop for Collectd {
     }
 }
 
-fn build_pipeline(cfg: &DaemonConfig, obs: &MetricsRegistry) -> Result<IngestPipeline, NetError> {
-    let agg = ShardedAggregator::for_method_obs(
-        cfg.method,
-        cfg.k,
-        cfg.eps_inf,
-        cfg.eps_first,
-        cfg.workers.max(1),
-        obs,
-    )
-    .map_err(|e| NetError::Pipeline(e.to_string()))?;
-    Ok(IngestPipeline::from_aggregator_obs(
-        agg,
-        cfg.channel_capacity,
-        obs,
-    ))
+/// Folds a saved shard checkpoint into `shards`, resuming its round
+/// mid-fill. The checkpoint may come from a daemon with a different
+/// shard count: saved shard `j` folds into shard `j % shards.len()`, and
+/// the order-independent merge makes the round bit-identical either
+/// way. A checkpoint whose dimension or any shard's length differs from
+/// `dim` is rejected before any shard is folded.
+fn restore_shards(
+    shards: &[Mutex<Shard>],
+    dim: usize,
+    cp: &ShardCheckpoint,
+) -> Result<(), NetError> {
+    if cp.dim != dim {
+        return Err(NetError::Codec(CodecError::Corrupt(
+            "checkpoint dimension differs from the daemon's",
+        )));
+    }
+    if cp.shards.iter().any(|s| s.counts.len() != dim) {
+        return Err(NetError::Codec(CodecError::Corrupt(
+            "checkpoint shard length differs from the daemon's dimension",
+        )));
+    }
+    for (j, state) in cp.shards.iter().enumerate() {
+        lock(&shards[j % shards.len()]).add_batch(&state.counts, state.reports);
+    }
+    Ok(())
+}
+
+/// Folds a validated submit batch into `shard` in one pass: the bit-plane
+/// row fold for rows, a flat index walk for lists.
+fn fold(shard: &mut Shard, batch: &ReportBatch) {
+    match batch.row_words() {
+        Some(words) => shard.add_rows(batch.cells(), words),
+        None => shard.add_report_batch(batch.lists().0, batch.report_count() as u64),
+    }
 }
 
 /// The latch watcher: waits for any stop latch, then wakes the accept
@@ -446,7 +492,6 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener, resumed: bool) -> D
 
 fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let mut conn = Conn::wrap(stream, shared.fingerprint, &shared.obs);
-    let mut submitter = shared.handle.batching(shared.batch_reports);
     let mut session: Option<u32> = None;
     let mut idle = idle_deadline(shared);
     loop {
@@ -481,7 +526,7 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) {
                     });
                     return;
                 }
-                match handle_frame(shared, &mut submitter, &mut session, frame) {
+                match handle_frame(shared, &mut session, frame) {
                     Ok(Reply::Send(reply)) => {
                         if conn.send(&reply).is_err() {
                             return;
@@ -533,7 +578,6 @@ enum Reply {
 
 fn handle_frame(
     shared: &Arc<Shared>,
-    submitter: &mut BatchSubmitter,
     session: &mut Option<u32>,
     frame: Frame,
 ) -> Result<Reply, NetError> {
@@ -561,11 +605,7 @@ fn handle_frame(
                 round: shared.round.load(Ordering::SeqCst),
             }))
         }
-        Frame::Submit {
-            seq,
-            key_base,
-            batch,
-        } => {
+        Frame::Submit { seq, batch, .. } => {
             let worker = session.ok_or(NetError::Protocol("submit before hello"))?;
             let _timed = Span::enter(&shared.apply_ns);
             // Validate the whole frame before applying any of it, so a
@@ -582,6 +622,7 @@ fn handle_frame(
             let applied;
             {
                 let _gate = shared.gate.read().unwrap_or_else(|e| e.into_inner());
+                let mut shard = lock(&shared.shards[worker as usize % shared.shards.len()]);
                 let high = lock(&shared.sessions)
                     .applied
                     .get(&worker)
@@ -592,16 +633,7 @@ fn handle_frame(
                 } else if seq != high + 1 {
                     return Err(NetError::Protocol("submit sequence gap"));
                 } else {
-                    for (i, report) in batch.iter().enumerate() {
-                        let key = key_base + i as u64;
-                        match report {
-                            Report::Row(row) => submitter.submit_row(key, row)?,
-                            Report::List(list) => {
-                                submitter.submit(key, list.iter().map(|&i| i as usize))?
-                            }
-                        }
-                    }
-                    submitter.flush()?;
+                    fold(&mut shard, &batch);
                     lock(&shared.sessions).applied.insert(worker, seq);
                     applied = true;
                 }
@@ -646,7 +678,13 @@ fn handle_frame(
             let snapshot;
             {
                 let _gate = shared.gate.write().unwrap_or_else(|e| e.into_inner());
-                snapshot = lock(&shared.pipeline).finish_round()?;
+                let mut agg = lock(&shared.agg);
+                for (i, shard) in shared.shards.iter().enumerate() {
+                    let mut shard = lock(shard);
+                    agg.push_batch(i, shard.counts(), shard.reports());
+                    shard.reset();
+                }
+                snapshot = agg.finish_round();
                 *lock(&shared.last_result) = Some((snapshot.reports, snapshot.estimate.clone()));
                 let mut sessions = lock(&shared.sessions);
                 sessions.applied.clear();
@@ -706,6 +744,57 @@ mod tests {
             Deadline::after(Duration::from_secs(5)),
         )
         .unwrap()
+    }
+
+    fn shards(n: usize, dim: usize) -> Vec<Mutex<Shard>> {
+        (0..n).map(|_| Mutex::new(Shard::with_dim(dim))).collect()
+    }
+
+    #[test]
+    fn restore_rejects_a_disagreeing_checkpoint_before_folding_any_shard() {
+        let live = shards(2, 4);
+        let wrong_dim = ShardCheckpoint {
+            dim: 9,
+            shards: vec![],
+        };
+        let short_shard = ShardCheckpoint {
+            dim: 4,
+            shards: vec![
+                ShardState {
+                    counts: vec![1, 1, 0, 0],
+                    reports: 2,
+                },
+                ShardState {
+                    counts: vec![0; 3],
+                    reports: 1,
+                },
+            ],
+        };
+        for cp in [wrong_dim, short_shard] {
+            assert!(matches!(
+                restore_shards(&live, 4, &cp),
+                Err(NetError::Codec(CodecError::Corrupt(_)))
+            ));
+        }
+        // The valid shard ahead of the short one was not folded in.
+        assert!(live.iter().all(|s| lock(s).reports() == 0));
+    }
+
+    #[test]
+    fn restore_folds_saved_shard_j_into_shard_j_mod_shards() {
+        let live = shards(2, 3);
+        let saved = |i: usize, reports: u64| ShardState {
+            counts: (0..3).map(|v| u64::from(v == i) * reports).collect(),
+            reports,
+        };
+        let cp = ShardCheckpoint {
+            dim: 3,
+            shards: vec![saved(0, 1), saved(1, 2), saved(2, 4)],
+        };
+        restore_shards(&live, 3, &cp).unwrap();
+        let (a, b) = (lock(&live[0]), lock(&live[1]));
+        assert_eq!((a.counts(), a.reports()), (&[1, 0, 4][..], 5));
+        assert_eq!((b.counts(), b.reports()), (&[0, 2, 0][..], 2));
     }
 
     #[test]

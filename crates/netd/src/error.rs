@@ -232,17 +232,6 @@ impl From<std::io::Error> for NetError {
     }
 }
 
-impl From<ldp_ingest::IngestError> for NetError {
-    fn from(e: ldp_ingest::IngestError) -> Self {
-        match e {
-            ldp_ingest::IngestError::SupportOutOfRange { index, dim } => {
-                NetError::SupportOutOfRange { index, dim }
-            }
-            other => NetError::Pipeline(other.to_string()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

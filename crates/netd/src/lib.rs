@@ -3,10 +3,10 @@
 //! deterministic client-side traffic driver.
 //!
 //! Everything below the socket reuses the workspace's existing
-//! collection machinery — [`ldp_ingest::IngestPipeline`] for
-//! shard-parallel aggregation with backpressure, the shard checkpoint
-//! codec for durability, [`ldp_client::ClientPool`] as the traffic
-//! source — so the network path is a *transport*, not a second
+//! collection machinery — [`ldp_runtime::Shard`] folds and
+//! [`ldp_runtime::ShardedAggregator`] estimates for aggregation, the
+//! shard checkpoint codec for durability, [`ldp_client::ClientPool`] as
+//! the traffic source — so the network path is a *transport*, not a second
 //! implementation: a loadgen → collectd round over loopback produces
 //! estimates byte-identical to the in-process collect path, including
 //! across a daemon kill + resume mid-round (`tests/drill.rs` pins this

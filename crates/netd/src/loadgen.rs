@@ -11,6 +11,15 @@
 //! numbers, which the daemon's session dedup then applies exactly once.
 //! No client-side frame log is ever kept.
 //!
+//! Each [`NetSink`] keeps up to eight submit frames in flight: it sends
+//! a frame without waiting for the previous one's ack, and waits for the
+//! oldest ack only when the window is full, and for all of them at the
+//! end of its part of the round. The daemon acks in `seq` order, its
+//! per-session dedup floor makes a resent frame harmless, and a `seq`
+//! gap is an error, so every frame is still applied once and in order;
+//! an error reply to any frame in the window surfaces at the next ack
+//! wait.
+//!
 //! The round input itself comes from [`round_values`], a seeded FNV-1a
 //! mix — tests and the CI smoke drill call the same function to know
 //! exactly what traffic a given (seed, round) produced.
@@ -24,11 +33,16 @@ use ldp_ingest::ReportBatch;
 use ldp_obs::{Histogram, MetricsRegistry, Span};
 use ldp_primitives::codec::fnv1a;
 use ldp_runtime::Method;
+use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 /// Reports per submit frame when the caller does not override it.
 pub const DEFAULT_FRAME_REPORTS: usize = 128;
+
+/// Submit frames a [`NetSink`] keeps sent but unacked before it waits
+/// for the oldest one's ack.
+const WINDOW: usize = 8;
 
 /// Loadgen configuration. Construct with [`LoadgenConfig::new`] and
 /// override fields as needed.
@@ -127,8 +141,8 @@ pub fn round_values(seed: u64, round: u64, users: usize, k: u64) -> Vec<u64> {
 }
 
 /// One worker's connection to the daemon, packing contiguously keyed
-/// reports into submit frames and awaiting each frame's ack before the
-/// next send. Implements [`ReportSink`], so
+/// reports into submit frames and keeping up to eight of them in flight
+/// (see the [module docs](self)). Implements [`ReportSink`], so
 /// [`ClientPool::sanitize_round_sinks`] can drive it directly.
 pub struct NetSink {
     conn: Conn,
@@ -146,6 +160,8 @@ pub struct NetSink {
     indices: usize,
     key_base: u64,
     next_key: u64,
+    /// Sent, unacked frames as (seq, reports), oldest first.
+    unacked: VecDeque<(u64, u32)>,
     ack_wait_ns: Histogram,
     frames_acked: u64,
     reports_acked: u64,
@@ -199,6 +215,7 @@ impl NetSink {
             indices: 0,
             key_base: 0,
             next_key: 0,
+            unacked: VecDeque::with_capacity(WINDOW),
             ack_wait_ns: obs.histogram("ldp.netd.loadgen.ack_wait_ns"),
             frames_acked: 0,
             reports_acked: 0,
@@ -239,6 +256,9 @@ impl NetSink {
         }
         let reports = u32::try_from(self.batch.report_count())
             .map_err(|_| NetError::BadBatch("report count beyond u32"))?;
+        if self.unacked.len() == WINDOW {
+            self.await_ack()?;
+        }
         let frame = Frame::Submit {
             seq: self.seq,
             key_base: self.key_base,
@@ -251,9 +271,20 @@ impl NetSink {
             self.batch = batch;
         }
         sent?;
+        self.unacked.push_back((self.seq, reports));
+        Ok(())
+    }
+
+    /// Waits for the oldest unacked frame's reply: its ack, or the error
+    /// the daemon answered it with.
+    fn await_ack(&mut self) -> Result<(), NetError> {
+        let Some(&(want, reports)) = self.unacked.front() else {
+            return Ok(());
+        };
         let _timed = Span::enter(&self.ack_wait_ns);
         match self.conn.recv()? {
-            Some((_, Frame::Ack { seq, .. })) if seq == self.seq => {
+            Some((_, Frame::Ack { seq, .. })) if seq == want => {
+                self.unacked.pop_front();
                 self.frames_acked += 1;
                 self.reports_acked += u64::from(reports);
                 Ok(())
@@ -264,10 +295,19 @@ impl NetSink {
         }
     }
 
-    /// Barriers the round on the daemon and returns its merged outcome.
-    /// Flushes any buffered reports first.
-    pub fn end_round(&mut self, round: u64) -> Result<RoundOutcome, NetError> {
+    /// Sends any buffered reports and waits for every frame's ack.
+    fn flush_all(&mut self) -> Result<(), NetError> {
         self.flush_frame()?;
+        while !self.unacked.is_empty() {
+            self.await_ack()?;
+        }
+        Ok(())
+    }
+
+    /// Barriers the round on the daemon and returns its merged outcome.
+    /// Flushes any buffered reports and waits for every ack first.
+    pub fn end_round(&mut self, round: u64) -> Result<RoundOutcome, NetError> {
+        self.flush_all()?;
         self.conn.send(&Frame::EndRound { round })?;
         match self.conn.recv()? {
             Some((
@@ -346,7 +386,7 @@ impl ReportSink for NetSink {
     }
 
     fn finish(&mut self) -> Result<(), NetError> {
-        self.flush_frame()
+        self.flush_all()
     }
 }
 
@@ -484,6 +524,66 @@ fn run_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::daemon::{Collectd, DaemonConfig};
+    use crate::error::ErrorCode;
+
+    /// A one-report-per-frame sink on session `worker` of `daemon`.
+    fn sink(daemon: &Collectd, worker: u32, obs: &MetricsRegistry) -> NetSink {
+        NetSink::connect(
+            daemon.local_addr(),
+            worker,
+            Method::LGrr,
+            8,
+            8,
+            daemon.fingerprint(),
+            1,
+            obs,
+            Deadline::after(Duration::from_secs(5)),
+        )
+        .unwrap()
+    }
+
+    fn out_of_range<T>(result: Result<T, NetError>) -> bool {
+        matches!(
+            result,
+            Err(NetError::Remote {
+                code: ErrorCode::SupportOutOfRange,
+                ..
+            })
+        )
+    }
+
+    #[test]
+    fn an_error_reply_inside_the_window_is_never_skipped() {
+        let obs = MetricsRegistry::new();
+        let daemon = Collectd::start(DaemonConfig::new(Method::LGrr, 8, 2.0, 1.0), &obs).unwrap();
+
+        // Frame 1 is out of range. Frames 2..=8 go out behind it, and
+        // sending frame 9 waits for frame 1's reply: the error.
+        let mut s = sink(&daemon, 0, &obs);
+        s.submit(0, &[9]).unwrap();
+        for user in 1..=WINDOW as u64 {
+            s.submit(user, &[1]).unwrap();
+        }
+        assert!(out_of_range(s.submit(WINDOW as u64 + 1, &[1])));
+        assert_eq!(s.frames_acked(), 0);
+
+        // An error behind acked frames surfaces at the end of the part.
+        let mut s = sink(&daemon, 1, &obs);
+        for (user, index) in [(0u64, 1usize), (1, 2), (2, 8), (3, 3)] {
+            s.submit(user, &[index]).unwrap();
+        }
+        assert!(out_of_range(s.finish()));
+        assert_eq!(s.frames_acked(), 2);
+
+        // And at the round end.
+        let mut s = sink(&daemon, 2, &obs);
+        s.submit(0, &[8]).unwrap();
+        assert!(out_of_range(s.end_round(0)));
+
+        daemon.trigger_drain();
+        assert_eq!(daemon.join().unwrap().frames_applied, 2);
+    }
 
     #[test]
     fn round_values_are_deterministic_and_in_domain() {

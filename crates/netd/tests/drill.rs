@@ -332,3 +332,155 @@ fn hard_kill_mid_round_resumes_bit_identical_for_every_method() {
         assert_bit_identical(method, &reference_rounds(method, users, 1, 2), &got);
     }
 }
+
+/// A loadgen sink's ack window: it sends this many frames before it
+/// reads the first ack.
+const WINDOW: u64 = 8;
+
+#[test]
+fn hard_kill_with_a_full_window_in_flight_applies_every_frame_once() {
+    let (users, workers) = (24usize, 2usize);
+    for method in Method::all() {
+        let tag = format!("window_{}", method.name().replace('-', "_"));
+        let dir = TempDir::new(&tag);
+        let obs = MetricsRegistry::new();
+
+        // Daemon A checkpoints after frame 5 and dies right after it
+        // applies frame 8, the last of one full window.
+        let mut dcfg = daemon_config(method);
+        dcfg.dir = Some(dir.0.clone());
+        dcfg.checkpoint_every = 5;
+        dcfg.kill_after_frames = Some(WINDOW);
+        let daemon_a = Collectd::start(dcfg.clone(), &obs).unwrap();
+
+        // Worker 0 sends its first 8 one-report frames, exactly as the
+        // loadgen below will, and reads no ack: the daemon can only die
+        // once it applied all 8, so it dies with the whole window in
+        // flight.
+        let cfg = ClientConfig::for_method(method, K, EPS_INF, EPS_FIRST).unwrap();
+        let mut pool = ClientPool::with_obs(cfg, SEED, users, &off()).unwrap();
+        let dim = method.dim(K);
+        let fingerprint = config_fingerprint(method, K, dim as u64, EPS_INF, EPS_FIRST);
+        let values = round_values(SEED, 0, users, K);
+        let mut sink = NetSink::connect(
+            daemon_a.local_addr(),
+            0,
+            method,
+            K,
+            dim as u64,
+            fingerprint,
+            1,
+            &obs,
+            Deadline::after(Duration::from_secs(10)),
+        )
+        .unwrap();
+        let mut buf = ReportBuf::new();
+        for (user, &value) in values.iter().enumerate().take(WINDOW as usize + 1) {
+            pool.sanitize_one(user, value, &mut buf);
+            sink.submit(user as u64, buf.support()).unwrap();
+        }
+        assert_eq!(
+            sink.frames_acked(),
+            0,
+            "{}: 8 frames unacked",
+            method.name()
+        );
+        let report_a = daemon_a.join().unwrap();
+        assert!(report_a.hard_killed, "{}: A died hard", method.name());
+        assert_eq!(report_a.frames_applied, WINDOW, "{}", method.name());
+        assert!(
+            sink.finish().is_err(),
+            "{}: frame 9 finds no daemon",
+            method.name()
+        );
+        drop(sink);
+
+        // Daemon B resumes from the checkpoint after frame 5: frames 6-8,
+        // applied by A and lost with it, are resent once.
+        dcfg.kill_after_frames = None;
+        let daemon_b = Collectd::start(dcfg, &obs).unwrap();
+        assert!(daemon_b.resumed(), "{}: daemon B resumed", method.name());
+        let mut lcfg = loadgen_config(daemon_b.local_addr(), method, users, 1, workers);
+        lcfg.frame_reports = 1;
+        let report = run_loadgen(&lcfg, &obs).unwrap();
+        daemon_b.trigger_drain();
+        let report_b = daemon_b.join().unwrap();
+
+        assert_eq!(
+            report.reports + 5,
+            users as u64,
+            "{}: the replay resent everything past the checkpoint",
+            method.name()
+        );
+        assert_eq!(
+            report_b.frames_applied,
+            report.frames,
+            "{}: every acked frame applied once",
+            method.name()
+        );
+        let got: Vec<_> = report
+            .rounds
+            .iter()
+            .map(|r| (r.reports, r.estimate.clone()))
+            .collect();
+        assert_bit_identical(method, &reference_rounds(method, users, 1, workers), &got);
+    }
+}
+
+#[test]
+fn loadgen_retries_through_a_kill_with_windows_in_flight_bit_identical() {
+    let (users, workers) = (48usize, 2usize);
+    for method in Method::all() {
+        let tag = format!("window_retry_{}", method.name().replace('-', "_"));
+        let dir = TempDir::new(&tag);
+        let obs = MetricsRegistry::new();
+
+        // 24 one-report frames per session; A dies after 12 applied
+        // frames, with both sessions' windows open.
+        let mut dcfg = daemon_config(method);
+        dcfg.dir = Some(dir.0.clone());
+        dcfg.checkpoint_every = 5;
+        dcfg.kill_after_frames = Some(12);
+        let daemon_a = Collectd::start(dcfg.clone(), &obs).unwrap();
+        let addr = daemon_a.local_addr();
+
+        let mut restart_cfg = dcfg;
+        restart_cfg.addr = addr;
+        restart_cfg.kill_after_frames = None;
+        let restart_obs = obs.clone();
+        let operator = std::thread::spawn(move || {
+            let report_a = daemon_a.join().unwrap();
+            let daemon_b = Collectd::start(restart_cfg, &restart_obs).unwrap();
+            (report_a, daemon_b)
+        });
+
+        let mut lcfg = loadgen_config(addr, method, users, 1, workers);
+        lcfg.frame_reports = 1;
+        lcfg.retry_timeout = Some(Duration::from_secs(60));
+        let report = run_loadgen(&lcfg, &obs).unwrap();
+
+        let (report_a, daemon_b) = operator.join().unwrap();
+        daemon_b.trigger_drain();
+        let report_b = daemon_b.join().unwrap();
+
+        assert!(report_a.hard_killed, "{}: A died hard", method.name());
+        assert!(report_a.frames_applied >= 12, "{}", method.name());
+        assert!(
+            report.retries > 0,
+            "{}: the round was replayed",
+            method.name()
+        );
+        assert_eq!(
+            report_b.frames_applied,
+            report.frames,
+            "{}: every acked frame applied once",
+            method.name()
+        );
+        let got: Vec<_> = report
+            .rounds
+            .iter()
+            .map(|r| (r.reports, r.estimate.clone()))
+            .collect();
+        assert_bit_identical(method, &reference_rounds(method, users, 1, workers), &got);
+    }
+}

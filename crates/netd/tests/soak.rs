@@ -7,10 +7,10 @@
 //!   daemon's poll tick) never desynchronizes the stream — the
 //!   connection's incremental assembler parks partial frames across
 //!   ticks and memory stays bounded by one frame.
-//! * A **burst** into a deliberately tiny pipeline (one worker, channel
-//!   capacity 1) maps socket pressure onto the ingest pipeline's own
-//!   backpressure: the `send_blocked` counters fire, nothing is
-//!   dropped, and every report still lands exactly once.
+//! * A **burst** of submit frames written far past the client's ack
+//!   window without reading a reply is folded frame by frame: the
+//!   daemon acks every frame once, in `seq` order, and every report
+//!   lands in the round result exactly once.
 //! * Over a multi-round, multi-connection run, **every accepted frame
 //!   is acked exactly once** (daemon-side applied count equals
 //!   client-side acked count) and the daemon's connection gauge returns
@@ -18,11 +18,11 @@
 
 use ldp_ingest::ReportBatch;
 use ldp_netd::{
-    decode_frame, encode_frame, read_frame, run_loadgen, Collectd, DaemonConfig, Frame,
-    LoadgenConfig,
+    decode_frame, encode_frame, read_frame, run_loadgen, write_frame, Collectd, DaemonConfig,
+    Frame, LoadgenConfig,
 };
 use ldp_obs::MetricsRegistry;
-use ldp_runtime::Method;
+use ldp_runtime::{Method, ShardedAggregator};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -113,37 +113,83 @@ fn a_trickling_sender_never_desynchronizes_the_stream() {
 }
 
 #[test]
-fn burst_traffic_lands_exactly_once_through_pipeline_backpressure() {
+fn a_burst_of_unread_submits_is_acked_in_seq_order_and_lands_exactly_once() {
+    const FRAMES: u64 = 64; // far past a client's ack window
+    const PER_FRAME: u32 = 5;
+    let (method, k) = (Method::LOue, 8u64);
     let obs = MetricsRegistry::new();
-    let mut dcfg = daemon_config(Method::LOue, 8);
-    // The tightest pipeline the config allows: one shard worker behind a
-    // one-envelope channel, one report per envelope. Socket ingestion
-    // must block on the channel, not buffer unboundedly.
+    let mut dcfg = daemon_config(method, k);
     dcfg.workers = 1;
-    dcfg.channel_capacity = 1;
-    dcfg.batch_reports = 1;
     let daemon = Collectd::start(dcfg, &obs).unwrap();
+    let fp = daemon.fingerprint();
+    let mut s = TcpStream::connect(daemon.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let send = |s: &mut TcpStream, frame: &Frame| write_frame(s, &encode_frame(frame, fp)).unwrap();
 
-    let users: usize = 300;
-    let mut lcfg = LoadgenConfig::new(daemon.local_addr(), Method::LOue, 8, 2.0, 1.0);
-    lcfg.users = users;
-    lcfg.workers = 2;
-    lcfg.frame_reports = 64;
-    let report = run_loadgen(&lcfg, &obs).unwrap();
+    send(
+        &mut s,
+        &Frame::Hello {
+            worker_id: 0,
+            k,
+            dim: k,
+            method: method.name().into(),
+        },
+    );
+    assert!(matches!(expect_frame(&mut s), Frame::HelloAck { .. }));
 
+    // Every frame goes out before any reply is read.
+    let mut reference =
+        ShardedAggregator::for_method_obs(method, k, 2.0, 1.0, 1, &MetricsRegistry::disabled())
+            .unwrap();
+    for seq in 1..=FRAMES {
+        let mut batch = ReportBatch::new();
+        for r in 0..u64::from(PER_FRAME) {
+            let support = [((seq + r) % k) as u32, ((seq * r + 3) % k) as u32];
+            reference.push_report(0, support.map(|i| i as usize));
+            batch.push_report(support);
+        }
+        send(
+            &mut s,
+            &Frame::Submit {
+                seq,
+                key_base: (seq - 1) * u64::from(PER_FRAME),
+                batch,
+            },
+        );
+    }
+    for want in 1..=FRAMES {
+        match expect_frame(&mut s) {
+            Frame::Ack { seq, reports, .. } => {
+                assert_eq!(seq, want, "acks come back in seq order");
+                assert_eq!(reports, PER_FRAME);
+            }
+            other => panic!("expected the ack of frame {want}, got {other:?}"),
+        }
+    }
+
+    send(&mut s, &Frame::EndRound { round: 0 });
+    let want = reference.finish_round();
+    match expect_frame(&mut s) {
+        Frame::RoundResult {
+            reports, estimate, ..
+        } => {
+            assert_eq!(reports, FRAMES * u64::from(PER_FRAME), "nothing dropped");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&estimate),
+                bits(&want.estimate),
+                "every report folded once"
+            );
+        }
+        other => panic!("expected a round result, got {other:?}"),
+    }
+
+    drop(s);
     daemon.trigger_drain();
     let dreport = daemon.join().unwrap();
-
-    assert_eq!(report.reports, users as u64, "nothing dropped");
-    assert_eq!(report.rounds[0].reports, users as u64);
     assert_eq!(
-        dreport.frames_applied, report.frames,
-        "every accepted frame applied exactly once"
-    );
-    let snap = obs.snapshot();
-    assert!(
-        snap.counter_total("ldp.ingest.pipeline.send_blocked") > 0,
-        "the burst must hit the pipeline's backpressure at least once"
+        dreport.frames_applied, FRAMES,
+        "every frame applied exactly once"
     );
 }
 
