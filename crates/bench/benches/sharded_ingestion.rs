@@ -5,13 +5,14 @@
 //! a mid-stream snapshot, a client pool sanitizing into the `ldp_ingest`
 //! concurrent worker pipeline (1/2/4/8 workers) against a single-threaded
 //! sanitize-into-shard of the same round, and the cost of running that
-//! round with `ldp_obs` telemetry enabled versus hard-disabled.
+//! round with `ldp_obs` telemetry enabled versus hard-disabled — and the
+//! shard's bit-row fold kernel on its own, at the DB_MT row width.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ldp_ingest::IngestPipeline;
 use ldp_obs::MetricsRegistry;
 use ldp_rand::{derive_rng, uniform_u64};
-use ldp_runtime::{Method, ShardedAggregator};
+use ldp_runtime::{Method, Shard, ShardedAggregator};
 use loloha::{LolohaParams, LolohaServer};
 use std::hint::black_box;
 
@@ -183,10 +184,36 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// The bit-row fold kernel alone: `Shard::add_rows` over 128 rows (one
+/// wire frame's batch) and 255 rows (one full spill) of 23 words, the
+/// DB_MT width (k = 1412), each bit set with probability 0.5 as in a
+/// BiLOLOHA preimage row.
+fn bench_row_fold(c: &mut Criterion) {
+    const K_DBMT: usize = 1412;
+    let words = K_DBMT.div_ceil(64);
+    let mut rng = derive_rng(23, 0xF01D);
+    let mut group = c.benchmark_group("row_fold");
+    for rows in [128usize, 255] {
+        let mut cells = vec![0u64; rows * words];
+        for row in cells.chunks_exact_mut(words) {
+            for i in 0..K_DBMT {
+                row[i / 64] |= uniform_u64(&mut rng, 2) << (i % 64);
+            }
+        }
+        group.bench_function(format!("add_rows_{rows}x{words}_density_0.5"), |b| {
+            let mut shard = Shard::with_dim(K_DBMT);
+            b.iter(|| shard.add_rows(black_box(&cells), words));
+            black_box(shard.counts());
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_ingestion,
     bench_sanitize_and_ingest,
-    bench_telemetry_overhead
+    bench_telemetry_overhead,
+    bench_row_fold
 );
 criterion_main!(benches);

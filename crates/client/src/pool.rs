@@ -99,18 +99,56 @@ impl ReportSink for BatchSubmitter {
     }
 }
 
-/// The untransported sink: folds each report straight into an
-/// aggregator shard ([`ClientPool::sanitize_round_into_shards`]).
-impl ReportSink for Shard {
+/// Most rows a [`ShardSink`] buffers before folding them: one full
+/// spill of [`Shard::add_rows`]'s bit planes.
+const SHARD_SINK_ROWS: usize = 255;
+
+/// The untransported sink behind
+/// [`ClientPool::sanitize_round_into_shards`]: buffers up to
+/// [`SHARD_SINK_ROWS`] rows and folds them into its shard with one
+/// [`Shard::add_rows`] call, and on [`ReportSink::finish`]. A list folds
+/// into the shard at once.
+struct ShardSink<'a> {
+    shard: &'a mut Shard,
+    rows: Vec<u64>,
+    words: usize,
+}
+
+impl ShardSink<'_> {
+    /// Folds the buffered rows into the shard.
+    fn fold_rows(&mut self) {
+        if !self.rows.is_empty() {
+            self.shard.add_rows(&self.rows, self.words);
+            self.rows.clear();
+        }
+    }
+}
+
+impl ReportSink for ShardSink<'_> {
     type Error = Infallible;
 
     fn submit(&mut self, _user: u64, support: &[usize]) -> Result<(), Infallible> {
-        self.add_report(support.iter().copied());
+        self.shard.add_report(support.iter().copied());
         Ok(())
     }
 
-    fn submit_row(&mut self, _user: u64, row: &[u64]) -> Result<(), Infallible> {
-        self.add_row(row);
+    fn submit_row(&mut self, user: u64, row: &[u64]) -> Result<(), Infallible> {
+        if row.is_empty() {
+            return self.submit(user, &[]);
+        }
+        if row.len() != self.words {
+            self.fold_rows();
+            self.words = row.len();
+        }
+        self.rows.extend_from_slice(row);
+        if self.rows.len() == SHARD_SINK_ROWS * self.words {
+            self.fold_rows();
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<(), Infallible> {
+        self.fold_rows();
         Ok(())
     }
 }
@@ -300,14 +338,24 @@ impl ClientPool {
     /// Sanitizes a full round directly into aggregator shards: users are
     /// split into `shards.len()` contiguous chunks, chunk `i` filling
     /// `shards[i]` on its own thread (the non-pipelined engine path).
-    /// Bit-identical to [`ClientPool::sanitize_round`] — the shard merge
-    /// is order-independent.
+    /// Rows fold up to 255 at a time through [`Shard::add_rows`], lists
+    /// one report at a time. Bit-identical to
+    /// [`ClientPool::sanitize_round`] — the shard merge is
+    /// order-independent.
     ///
     /// # Panics
     /// Panics if `values.len()` differs from the population size or
     /// `shards` is empty.
     pub fn sanitize_round_into_shards(&mut self, values: &[u64], shards: &mut [Shard]) {
-        let Ok(()) = self.drive(Round::Dense(values), shards);
+        let mut sinks: Vec<ShardSink<'_>> = shards
+            .iter_mut()
+            .map(|shard| ShardSink {
+                shard,
+                rows: Vec::new(),
+                words: 0,
+            })
+            .collect();
+        let Ok(()) = self.drive(Round::Dense(values), &mut sinks);
     }
 
     /// Sanitizes a sparse round — `(user, value)` assignments for the
@@ -562,22 +610,24 @@ mod tests {
 
     #[test]
     fn direct_and_piped_rounds_agree() {
-        for method in Method::all() {
-            let vals = values(40);
+        // 800 users over 3 shards put 267 rows in a shard's sink: one
+        // fold of 255 rows mid-chunk, then the rest at `finish`.
+        for (method, n) in Method::all().into_iter().flat_map(|m| [(m, 40), (m, 800)]) {
+            let vals = values(n);
             let mut agg =
                 ShardedAggregator::for_method_obs(method, 16, 2.0, 1.0, 3, &off()).unwrap();
-            let mut direct = pool(method, 40);
+            let mut direct = pool(method, n);
             direct.sanitize_round_into_shards(&vals, agg.shards_mut());
             let want = agg.finish_round();
 
-            let mut piped = pool(method, 40);
+            let mut piped = pool(method, n);
             let mut pipe = IngestPipeline::for_method_obs(method, 16, 2.0, 1.0, 4, &off()).unwrap();
             let handle = pipe.handle();
             piped.sanitize_round(&vals, 4, &handle).unwrap();
             drop(handle);
             let got = pipe.finish_round().unwrap();
-            assert_eq!(want.counts, got.counts, "{method:?}");
-            assert_eq!(want.reports, got.reports, "{method:?}");
+            assert_eq!(want.counts, got.counts, "{method:?} over {n} users");
+            assert_eq!(want.reports, got.reports, "{method:?} over {n} users");
         }
     }
 

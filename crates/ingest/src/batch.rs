@@ -11,8 +11,8 @@
 //! buffers back to submitters so steady-state ingestion allocates
 //! nothing.
 //!
-//! A batch holds its reports in one of two layouts, the same two a
-//! `LDNW` v2 submit frame carries (`docs/WIRE_FORMAT.md` §4):
+//! A batch holds its reports in one of two layouts, the same two an
+//! `LDNW` submit frame carries (`docs/WIRE_FORMAT.md` §4):
 //!
 //! * **lists** — the concatenation of every report's `u32` support
 //!   indices plus one end offset per report (any support: GRR's single

@@ -208,7 +208,7 @@ fn writer_op(name: &str) -> Option<Op> {
         "put_u8" => Op::Width(1),
         "put_u16" => Op::Width(2),
         "put_u32" => Op::Width(4),
-        "put_u64" | "put_f64" => Op::Width(8),
+        "put_u64" | "put_u64s" | "put_f64" => Op::Width(8),
         "put_frame" => Op::Frame,
         "put_bytes" | "extend_from_slice" | "push" | "extend" => Op::Wild,
         _ => return None,
@@ -648,6 +648,16 @@ mod tests {
         let mut out = Vec::new();
         c002(&scan_source("a.rs", ok, RULES), &mut out);
         assert!(out.is_empty(), "{out:?}");
+
+        // A bulk word write is 8-byte fields like `put_u64`.
+        let bulk = "
+            fn save_x(w: &mut W) { w.put_u32(1); w.put_u64s(&self.words); }
+            fn load_x(r: &mut R) { let a = r.get_u32()?; }
+        ";
+        let mut out = Vec::new();
+        c002(&scan_source("a.rs", bulk, RULES), &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("8-byte field"));
     }
 
     #[test]

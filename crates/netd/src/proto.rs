@@ -416,16 +416,15 @@ pub(crate) fn submit_len_bound(reports: usize, indices: usize, row_words: Option
 fn submit_layout(batch: &ReportBatch) -> (Option<usize>, usize) {
     let (top_word, indices) = match batch.row_words() {
         Some(words) => {
-            let mut top: Option<usize> = None;
-            let mut indices = 0usize;
-            for row in batch.cells().chunks_exact(words) {
-                for (i, &cell) in row.iter().enumerate() {
-                    indices += cell.count_ones() as usize;
-                    if cell != 0 {
-                        top = top.max(Some(i));
-                    }
-                }
-            }
+            let cells = batch.cells();
+            let indices = cells.iter().map(|cell| cell.count_ones() as usize).sum();
+            // Only the words above the highest non-zero one seen so far
+            // can raise it, so a dense row costs one empty scan.
+            let top = cells.chunks_exact(words).fold(None, |top, row| {
+                let from = top.map_or(0, |t| t + 1);
+                let above = row[from..].iter().rposition(|&cell| cell != 0);
+                above.map(|i| from + i).or(top)
+            });
             (top, indices)
         }
         None => {
@@ -507,19 +506,22 @@ fn put_lists(w: &mut CodecWriter, batch: &ReportBatch, indices: usize) {
 
 /// Writes `batch` in the rows layout: `layout | words | one row per
 /// report`, bit `i % 64` of word `i / 64` set for each index `i`. A
-/// rows batch writes the first `words` words of each row (every word
-/// past them is zero); a lists batch builds each word in a register
-/// while walking the report's ascending indices, then writes it once.
+/// rows batch stored `words` wide goes out in one bulk copy; a wider
+/// one writes the first `words` words of each row (every word past
+/// them is zero). A lists batch builds each word in a register while
+/// walking the report's ascending indices, then writes it once.
 fn put_rows(w: &mut CodecWriter, batch: &ReportBatch, words: usize) {
     w.put_u8(LAYOUT_ROWS);
     w.put_u32(u32::try_from(words).expect("row width is capped by MAX_WIRE_DIM"));
-    if let Some(width) = batch.row_words() {
-        for row in batch.cells().chunks_exact(width) {
-            for &cell in &row[..words] {
-                w.put_u64(cell);
+    match batch.row_words() {
+        Some(width) if width == words => return w.put_u64s(batch.cells()),
+        Some(width) => {
+            for row in batch.cells().chunks_exact(width) {
+                w.put_u64s(&row[..words]);
             }
+            return;
         }
-        return;
+        None => {}
     }
     let (flat, ends) = batch.lists();
     let mut start = 0usize;
@@ -573,8 +575,8 @@ fn decode_lists(r: &mut CodecReader<'_>, report_count: u32) -> Result<ReportBatc
 /// Reads a rows-layout submit body into a rows batch — the rows are
 /// kept as rows, never expanded. The width, the report count, the
 /// payload length and the total popcount are all checked before the
-/// row buffer is sized; an oversized width or popcount reports the
-/// claimed bits as `indices`.
+/// row buffer is sized, and the rows are then copied in one pass; an
+/// oversized width or popcount reports the claimed bits as `indices`.
 fn decode_rows(r: &mut CodecReader<'_>, report_count: u32) -> Result<ReportBatch, NetError> {
     let words = r.get_u32()?;
     if words == 0 {
@@ -1013,6 +1015,68 @@ mod tests {
     /// Offset of the first row in a rows-layout submit body: the layout
     /// byte, then the row width.
     const ROWS_AT: usize = LAYOUT_AT + 1 + 4;
+
+    /// `reports` held as rows of `words` words each.
+    fn held_as_rows(reports: &ReportBatch, words: usize) -> ReportBatch {
+        let mut rows = ReportBatch::new();
+        let (flat, ends) = reports.lists();
+        let mut start = 0usize;
+        for &end in ends {
+            let mut row = vec![0u64; words];
+            for &i in &flat[start..end as usize] {
+                row[i as usize / 64] |= 1 << (i % 64);
+            }
+            start = end as usize;
+            rows.push_row(&row);
+        }
+        rows
+    }
+
+    /// 64 short reports over k = 1412, some descending and some with a
+    /// repeated index, so only the lists layout carries them.
+    fn lists_batch() -> ReportBatch {
+        let mut batch = ReportBatch::new();
+        for r in 0..64u32 {
+            let spread = (0..r % 5).map(|j| (r * 131 + j * 977) % 1412);
+            batch.push_report(spread.chain((r % 4 == 1).then_some(r)));
+        }
+        batch
+    }
+
+    /// The exact bytes of two fixed submits, as length and XXH64 of the
+    /// body. The rows submit is the same bytes whether its reports are
+    /// held as ascending lists, as rows exactly as wide as the frame
+    /// (one bulk copy), or as wider rows (trimmed row by row).
+    #[test]
+    fn fixed_submits_encode_to_pinned_bytes() {
+        let pinned = |frame: &Frame| {
+            let body = encode_frame(frame, 5);
+            (body.len(), ldp_primitives::codec::xxh64(&body))
+        };
+        let reports = biloloha_batch();
+        let rows_pin = (23_600, 0x5d53_65aa_4c93_97a6);
+        for (what, held) in [
+            ("lists", reports.clone()),
+            ("23-word rows", held_as_rows(&reports, 23)),
+            ("25-word rows", held_as_rows(&reports, 25)),
+        ] {
+            let frame = Frame::Submit {
+                seq: 1,
+                key_base: 0,
+                batch: held,
+            };
+            assert_eq!(encode_frame(&frame, 5)[LAYOUT_AT], LAYOUT_ROWS, "{what}");
+            assert_eq!(pinned(&frame), rows_pin, "{what}");
+        }
+
+        let frame = Frame::Submit {
+            seq: 2,
+            key_base: 128,
+            batch: lists_batch(),
+        };
+        assert_eq!(encode_frame(&frame, 5)[LAYOUT_AT], LAYOUT_LISTS);
+        assert_eq!(pinned(&frame), (872, 0x3eeb_b76a_85ee_cabd));
+    }
 
     #[test]
     fn the_trailer_is_xxh64_of_everything_before_it() {

@@ -305,32 +305,50 @@ impl CodecWriter {
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a little-endian `u16`.
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends little-endian `u64`s back to back: the buffer grows once,
+    /// then each word lands in its own 8-byte slot. The same bytes as one
+    /// [`Self::put_u64`] per word.
+    #[inline]
+    pub fn put_u64s(&mut self, words: &[u64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * words.len(), 0);
+        for (slot, word) in self.buf[start..].chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&word.to_le_bytes());
+        }
+    }
+
     /// Appends a little-endian IEEE-754 `f64` (bit pattern, so NaN
     /// payloads and signed zeros round-trip exactly).
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends raw bytes with no framing (fixed-width fields).
+    #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
@@ -430,6 +448,7 @@ impl<'a> CodecReader<'a> {
     }
 
     /// Takes the next `n` bytes.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
         if end > self.bytes.len() {
@@ -441,32 +460,38 @@ impl<'a> CodecReader<'a> {
     }
 
     /// Takes an exact-width array.
+    #[inline]
     pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
         // ldp_lint::allow(L001): take(N) returns exactly N bytes or errors first
         Ok(self.take(N)?.try_into().expect("exact length"))
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.array::<1>()?[0])
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn get_u16(&mut self) -> Result<u16, CodecError> {
         Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `f64` bit pattern.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_le_bytes(self.array()?))
     }
@@ -520,6 +545,22 @@ mod tests {
         w.put_f64(-0.0);
         w.put_frame(b"abc");
         w.finish()
+    }
+
+    #[test]
+    fn bulk_words_are_the_bytes_of_one_put_per_word() {
+        let words = [0, 1, u64::MAX, 0x0123_4567_89AB_CDEF, 1 << 63];
+        let mut bulk = CodecWriter::new(MAGIC, 3, 0);
+        bulk.put_u8(9);
+        bulk.put_u64s(&words);
+        bulk.put_u64s(&[]);
+        let mut single = CodecWriter::new(MAGIC, 3, 0);
+        single.put_u8(9);
+        for &word in &words {
+            single.put_u64(word);
+        }
+        assert_eq!(bulk.len(), HEADER_LEN + 1 + 8 * words.len());
+        assert_eq!(bulk.finish(), single.finish());
     }
 
     #[test]

@@ -28,7 +28,8 @@ use ldp_primitives::for_each_set_bit;
 use loloha::{LolohaParams, LolohaServer};
 
 /// Most carry-save bit planes [`Shard::add_rows`] keeps per word: the
-/// planes count up to `2^MAX_PLANES − 1` rows between spills.
+/// planes count up to `2^MAX_PLANES − 1` rows between spills, which is
+/// also the most one byte lane of a spill holds.
 const MAX_PLANES: u32 = 8;
 
 /// Aggregator-side telemetry handles (`ldp.runtime.aggregator.*`). Only
@@ -97,6 +98,30 @@ fn ripple(planes: &mut [u64], mut carry: u64) {
     }
 }
 
+/// A carry-save adder over 64 one-bit lanes: the sum bits and the carry
+/// bits of `a + b + c`, lane by lane.
+#[inline]
+fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let half = a ^ b;
+    (half ^ c, (a & b) | (half & c))
+}
+
+/// `SPREAD[b]` holds bit `i` of `b` in byte `i`: one byte of a bit
+/// plane spread over eight byte-lane counters.
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut i = 0;
+        while i < 8 {
+            table[b] |= ((b as u64 >> i) & 1) << (8 * i);
+            i += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
 /// One shard's accumulation state: a partial support-count histogram plus
 /// the number of reports folded into it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,15 +187,20 @@ impl Shard {
     /// `rows.len() / words` reports, each `words` words wide, every set
     /// bit already validated against the aggregation dimension.
     ///
-    /// Rows are added into carry-save bit planes — plane `p` holds bit
-    /// `p` of a per-index counter, and rows go in two at a time through
-    /// a full adder, so a row costs a few `and`/`xor` per word instead
-    /// of one increment per set bit — and the planes spill into the
-    /// `u64` counts before they can overflow and before this returns.
-    /// `P` planes count up to `2^P − 1` rows; `P` is the bit length of
-    /// the batch's row count, capped at 8 (longer batches spill every
-    /// 255 rows). A single row takes the set-bit walk of
-    /// [`Self::add_row`]. The counts are the same sums either way.
+    /// Rows are added into carry-save bit planes: plane `p` holds bit
+    /// `p` of 64 per-index counters per word, so a row costs a few
+    /// `and`/`xor` per word instead of one increment per set bit. Rows
+    /// go in eight at a time through a carry-save adder tree into planes
+    /// 0–2 (ones, twos, fours), and only the tree's weight-8 carry
+    /// ripples up from plane 3; the last `< 8` rows go in two at a time
+    /// through a full adder. `P` planes count up to `2^P − 1` rows; `P`
+    /// is the bit length of the batch's row count, capped at 8, so
+    /// longer batches spill every 255 rows. A spill adds the planes into
+    /// the `u64` counts one byte lane at a time: a 256-entry table
+    /// spreads a plane byte over eight byte-sized counters, which at
+    /// most 255 rows cannot overflow. A single row takes the set-bit
+    /// walk of [`Self::add_row`]. The counts are the same sums either
+    /// way.
     ///
     /// # Panics
     /// Panics if `words` is 0 or does not divide `rows.len()`, or if a
@@ -190,16 +220,33 @@ impl Shard {
         // Word-major: the planes of word `w` are `acc[w * planes ..][..planes]`.
         let mut acc = vec![0u64; words * planes];
         for rows in rows.chunks(chunk * words) {
-            let mut pairs = rows.chunks_exact(2 * words);
+            let mut octets = rows.chunks_exact(8 * words);
+            for octet in &mut octets {
+                let r: [&[u64]; 8] = std::array::from_fn(|i| &octet[i * words..][..words]);
+                for w in 0..words {
+                    // Planes exist up to weight 8 here: eight rows need
+                    // at least four of them.
+                    let (low, high) = acc[w * planes..][..planes].split_at_mut(3);
+                    let (ones, twos_a) = csa(low[0], r[0][w], r[1][w]);
+                    let (ones, twos_b) = csa(ones, r[2][w], r[3][w]);
+                    let (twos, fours_a) = csa(low[1], twos_a, twos_b);
+                    let (ones, twos_a) = csa(ones, r[4][w], r[5][w]);
+                    let (ones, twos_b) = csa(ones, r[6][w], r[7][w]);
+                    let (twos, fours_b) = csa(twos, twos_a, twos_b);
+                    let (fours, eights) = csa(low[2], fours_a, fours_b);
+                    low.copy_from_slice(&[ones, twos, fours]);
+                    ripple(high, eights);
+                }
+            }
+            let mut pairs = octets.remainder().chunks_exact(2 * words);
             for pair in &mut pairs {
                 let (a, b) = pair.split_at(words);
                 for ((stack, &a), &b) in acc.chunks_exact_mut(planes).zip(a).zip(b) {
                     // A full adder takes both rows into plane 0; its
                     // carry has weight 2 and ripples up from plane 1.
                     let (low, high) = stack.split_at_mut(1);
-                    let half = low[0] ^ a;
-                    let carry = (low[0] & a) | (half & b);
-                    low[0] = half ^ b;
+                    let (sum, carry) = csa(low[0], a, b);
+                    low[0] = sum;
                     ripple(high, carry);
                 }
             }
@@ -213,16 +260,38 @@ impl Shard {
         self.reports += n as u64;
     }
 
-    /// Adds the bit-plane counters in `acc` (word-major, `planes` per
-    /// word) into the counts and zeroes them.
+    /// Adds the bit-plane counters in `acc` (word-major, `planes` ≤ 8
+    /// per word) into the counts and zeroes them. Each byte of a word's
+    /// planes spreads through [`SPREAD`] into eight byte lanes of one
+    /// `u64`, plane `p` shifted to weight `2^p`; a lane holds at most
+    /// 255, so no lane carries into the next.
+    ///
+    /// # Panics
+    /// Panics if a counter past the aggregation dimension is non-zero.
     fn spill(&mut self, acc: &mut [u64], planes: usize) {
+        let dim = self.counts.len();
         for (w, stack) in acc.chunks_exact_mut(planes).enumerate() {
+            let occupied = stack.iter().fold(0, |all, &plane| all | plane);
+            if occupied == 0 {
+                continue;
+            }
+            let base = w * 64;
+            let live = dim.saturating_sub(base).min(64);
+            assert!(
+                live == 64 || occupied < 1 << live,
+                "a set bit is outside the aggregation dimension {dim}"
+            );
+            let mut lanes = [0u64; 8];
             for (p, plane) in stack.iter_mut().enumerate() {
-                let counts = &mut self.counts;
-                for_each_set_bit(std::slice::from_ref(plane), |b| {
-                    counts[w * 64 + b] += 1 << p;
-                });
+                for (lane, byte) in lanes.iter_mut().zip(plane.to_le_bytes()) {
+                    *lane |= SPREAD[usize::from(byte)] << p;
+                }
                 *plane = 0;
+            }
+            for (counts, lane) in self.counts[base..base + live].chunks_mut(8).zip(lanes) {
+                for (count, n) in counts.iter_mut().zip(lane.to_le_bytes()) {
+                    *count += u64::from(n);
+                }
             }
         }
     }
@@ -558,6 +627,29 @@ mod tests {
             .collect();
         batched.add_report_batch(&flat, reports.len() as u64);
         assert_eq!(per_report, batched);
+    }
+
+    #[test]
+    fn a_full_spill_of_all_ones_rows_leaves_every_counter_at_255() {
+        // 255 rows fill all eight planes of every lane: each byte lane
+        // of the spill holds 255, the most it can, and must not carry.
+        let (dim, rows) = (1412usize, 255usize);
+        let words = dim.div_ceil(64);
+        let mut cells = vec![u64::MAX; rows * words];
+        for row in cells.chunks_exact_mut(words) {
+            row[words - 1] = (1 << (dim % 64)) - 1;
+        }
+        let mut shard = Shard::with_dim(dim);
+        shard.add_rows(&cells, words);
+        assert!(shard.counts().iter().all(|&c| c == 255));
+        assert_eq!(shard.reports(), 255);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the aggregation dimension")]
+    fn a_row_bit_past_the_dimension_panics() {
+        let mut shard = Shard::with_dim(70);
+        shard.add_rows(&[0, 1 << 6, 0, 1 << 5], 2);
     }
 
     #[test]

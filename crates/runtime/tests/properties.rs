@@ -140,14 +140,17 @@ proptest! {
     /// The bit-plane row fold gives exactly the counts of folding every
     /// set bit as an index: widths with and without a partial last word,
     /// batch sizes on each side of the plane-count steps (2^P − 1, 2^P,
-    /// 2^P + 1) and past the 255-row spill, rows of any density, folded
-    /// on top of counts already in the shard.
+    /// 2^P + 1), of the eight-row adder tree's octets (a remainder of 0,
+    /// 1 or 7 rows, 31 octets in a spill) and past the 255-row spill,
+    /// rows of any density, folded on top of counts already in the shard.
     #[test]
     fn row_fold_equals_index_fold(
         width in prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(1412)],
         rows in prop_oneof![
-            Just(1usize), Just(2), Just(3), Just(127), Just(128), Just(129),
-            Just(255), Just(256), Just(257), Just(600),
+            Just(1usize), Just(2), Just(3), Just(4), Just(7), Just(8), Just(9),
+            Just(15), Just(16), Just(17), Just(127), Just(128), Just(129),
+            Just(247), Just(248), Just(249), Just(255), Just(256), Just(257),
+            Just(600),
         ],
         density in 0.0f64..=1.0,
         seed in any::<u64>(),
