@@ -51,7 +51,7 @@ pub mod store;
 pub use config::ClientConfig;
 pub use detect::DetectionTrack;
 pub use pool::{ClientPool, ReportSink, USER_STREAM_TAG};
-pub use state::{ClientState, DBitState, LolohaState, ReportBuf};
+pub use state::{ClientState, DBitState, HashedReport, LolohaState, ReportBuf};
 pub use store::{
     decode_client_checkpoint, encode_client_checkpoint, CheckpointMeta, ClientCheckpoint,
     ClientRecord, ClientStore, ClientStoreError, SaveStats,

@@ -24,7 +24,7 @@
 //! with the *changed* population, not the whole pool.
 
 use crate::config::ClientConfig;
-use crate::state::{ClientState, ReportBuf};
+use crate::state::{ClientState, HashedReport, ReportBuf};
 use crate::store::{ClientCheckpoint, ClientRecord, ClientStoreError};
 use ldp_ingest::{BatchSubmitter, IngestError, IngestHandle, DEFAULT_BATCH_REPORTS};
 use ldp_obs::{Counter, Gauge, Histogram, MetricsRegistry, Span};
@@ -53,7 +53,9 @@ struct UserSlot {
 ///
 /// A support arrives in one of two shapes: an index list
 /// ([`ReportSink::submit`]: GRR, dBitFlipPM) or a bit row
-/// ([`ReportSink::submit_row`]: UE vectors, LOLOHA preimage rows).
+/// ([`ReportSink::submit_row`]: UE vectors, LOLOHA preimage rows). A
+/// LOLOHA row comes through [`ReportSink::submit_hashed`] with the hash
+/// and cell it expands; by default that forwards the row.
 pub trait ReportSink {
     /// Why a submission (or flush) failed.
     type Error: Send;
@@ -71,6 +73,23 @@ pub trait ReportSink {
         let mut support = Vec::new();
         for_each_set_bit(row, |i| support.push(i));
         self.submit(user, &support)
+    }
+
+    /// Accepts one LOLOHA report for `user` as its hash and cell, with
+    /// `row` the cell's preimage row over `[0, k)` (the support
+    /// [`ReportSink::submit_row`] would receive).
+    ///
+    /// The default forwards the row to [`ReportSink::submit_row`]. A
+    /// sink whose collector expands hashes itself (`ldp_netd`'s
+    /// `NetSink`) overrides it and sends the hash and the cell, with the
+    /// row only for a [`HashedReport::fresh`] report.
+    fn submit_hashed(
+        &mut self,
+        user: u64,
+        _report: HashedReport,
+        row: &[u64],
+    ) -> Result<(), Self::Error> {
+        self.submit_row(user, row)
     }
 
     /// Flushes anything buffered; called once per sink after its share
@@ -536,9 +555,10 @@ fn sanitize_chunk<S: ReportSink>(
     let mut report = |u: usize, value: u64| {
         let slot = &mut chunk[u - base];
         slot.state.report_into(value, &mut slot.rng, &mut buf);
-        match buf.row() {
-            Some(row) => sink.submit_row(u as u64, row),
-            None => sink.submit(u as u64, buf.support()),
+        match (buf.row(), buf.hashed()) {
+            (Some(row), Some(hashed)) => sink.submit_hashed(u as u64, hashed, row),
+            (Some(row), None) => sink.submit_row(u as u64, row),
+            (None, _) => sink.submit(u as u64, buf.support()),
         }
     };
     match share {
@@ -874,6 +894,122 @@ mod tests {
         assert_eq!(snap.counter_total("ldp.ingest.pipeline.reports_routed"), 0);
         // Only the two end_round barriers crossed the channels.
         assert_eq!(snap.counter_total("ldp.ingest.pipeline.envelopes"), 2);
+    }
+
+    /// A sink that implements only `submit`: every report reaches it
+    /// through the default chain as an ascending index list.
+    #[derive(Default)]
+    struct SubmitOnly(Vec<u8>);
+
+    impl ReportSink for SubmitOnly {
+        type Error = Infallible;
+
+        fn submit(&mut self, user: u64, support: &[usize]) -> Result<(), Infallible> {
+            self.0.extend_from_slice(&user.to_le_bytes());
+            self.0
+                .extend_from_slice(&(support.len() as u64).to_le_bytes());
+            for &i in support {
+                self.0.extend_from_slice(&(i as u64).to_le_bytes());
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_submit_only_sink_gets_every_loloha_support_as_pinned() {
+        // Digests of the supports pinned before LOLOHA reports carried
+        // their hash: the default chain must hand a plain sink the same
+        // lists it always did.
+        let k = 300;
+        let custom = loloha::LolohaParams::with_g(5, 2.0, 1.0).unwrap();
+        let cases = [
+            (
+                "BiLOLOHA",
+                ClientConfig::for_method(Method::BiLoloha, k, 2.0, 1.0).unwrap(),
+                0x22df_a342_c8ba_f8f8,
+            ),
+            (
+                "OLOLOHA",
+                ClientConfig::for_method(Method::OLoloha, k, 2.0, 1.0).unwrap(),
+                0x047f_514e_d07b_5f5c,
+            ),
+            (
+                "g = 5",
+                ClientConfig::for_loloha(k, custom),
+                0x42cb_c9eb_2eaf_4b42,
+            ),
+        ];
+        for (what, cfg, want) in cases {
+            let mut p = ClientPool::with_obs(cfg, 9, 90, &off()).unwrap();
+            let mut sinks: Vec<SubmitOnly> = (0..3).map(|_| SubmitOnly::default()).collect();
+            for round in 0..3u64 {
+                let vals: Vec<u64> = (0..90).map(|u| (u * 7 + round * 31) % k).collect();
+                p.sanitize_round_sinks(&vals, &mut sinks).unwrap();
+            }
+            let bytes: Vec<u8> = sinks.into_iter().flat_map(|s| s.0).collect();
+            let got = ldp_primitives::codec::fnv1a(&bytes);
+            assert_eq!(got, want, "{what}: {got:#018x}");
+        }
+    }
+
+    /// Records each hashed report and checks its row against its hash.
+    struct HashedCheck {
+        k: u64,
+        cells: Vec<u32>,
+    }
+
+    impl ReportSink for HashedCheck {
+        type Error = String;
+
+        fn submit(&mut self, user: u64, _support: &[usize]) -> Result<(), String> {
+            Err(format!("user {user} came as a list"))
+        }
+
+        fn submit_hashed(
+            &mut self,
+            user: u64,
+            report: HashedReport,
+            row: &[u64],
+        ) -> Result<(), String> {
+            use ldp_hash::SeededHash;
+            let mut want = vec![0u64; self.k.div_ceil(64) as usize];
+            let cell = u32::from(report.cell);
+            for v in (0..self.k).filter(|&v| report.hash.hash(v) == cell) {
+                want[v as usize / 64] |= 1 << (v % 64);
+            }
+            if row != want {
+                return Err(format!("user {user}: the row is not its cell's preimage"));
+            }
+            self.cells.push(cell);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn loloha_rows_reach_the_sink_with_their_hash_and_cell() {
+        for (method, params) in [
+            (Method::BiLoloha, loloha::LolohaParams::bi(2.0, 1.0)),
+            (Method::OLoloha, loloha::LolohaParams::optimal(2.0, 1.0)),
+        ] {
+            let k = 100;
+            let cfg = ClientConfig::for_method(method, k, 2.0, 1.0).unwrap();
+            let g = params.unwrap().g();
+            let mut p = ClientPool::with_obs(cfg, 3, 200, &off()).unwrap();
+            let mut sinks = [HashedCheck {
+                k,
+                cells: Vec::new(),
+            }];
+            let vals: Vec<u64> = (0..200).map(|u| u % k).collect();
+            p.sanitize_round_sinks(&vals, &mut sinks).unwrap();
+            let [sink] = sinks;
+            assert_eq!(sink.cells.len(), 200, "{method:?}");
+            for cell in 0..g {
+                assert!(
+                    sink.cells.contains(&cell),
+                    "{method:?}: no report in cell {cell}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::detect::DetectionTrack;
 use crate::store::ClientStoreError;
-use ldp_hash::{CwHash, Preimages, SeededHash};
+use ldp_hash::{CwHash, Preimages};
 use ldp_longitudinal::{DBitFlipClient, LgrrClient, LongitudinalUeClient};
 use ldp_primitives::codec::CodecReader;
 use ldp_primitives::BitVec;
@@ -33,6 +33,8 @@ use loloha::LolohaClient;
 /// A reusable sanitization buffer: the report's support in one of two
 /// shapes — an index list, or a bit row for dense supports (UE vectors,
 /// LOLOHA preimage rows) — plus the scratch bit vector the row lives in.
+/// A LOLOHA row also keeps the report it expands: the user's hash and
+/// the reported cell ([`ReportBuf::hashed`]).
 ///
 /// One buffer per worker thread serves any number of users and any
 /// protocol mix — the scratch resizes lazily to the protocol's report
@@ -46,6 +48,24 @@ pub struct ReportBuf {
     /// Whether `support` holds the report's indices (always for a list
     /// report; for a row, once [`ReportBuf::support`] expanded it).
     listed: bool,
+    /// The hash and cell a LOLOHA row is the preimage of.
+    hashed: Option<HashedReport>,
+}
+
+/// A LOLOHA report in the paper's own shape: the user's Carter–Wegman
+/// hash `H(v) = ((a·v + b) mod p) mod g` and the reported cell `y`. Its
+/// support is the preimage row `{v ∈ [0, k) : H(v) = y}`, so a collector
+/// that knows `k` can count it without the row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HashedReport {
+    /// The user's hash (its `g` cells: [`ldp_hash::SeededHash::g`]).
+    pub hash: CwHash,
+    /// The reported cell, below `g`.
+    pub cell: u8,
+    /// Whether this is the first report the user's state has made:
+    /// no collector can hold the user's rows yet, so a sink that sends
+    /// hashes should send this report's row along.
+    pub fresh: bool,
 }
 
 impl Default for ReportBuf {
@@ -62,6 +82,7 @@ impl ReportBuf {
             support: Vec::new(),
             dense: false,
             listed: true,
+            hashed: None,
         }
     }
 
@@ -86,6 +107,13 @@ impl ReportBuf {
         self.dense.then(|| self.scratch.blocks())
     }
 
+    /// The hash and cell behind the report's row, for a LOLOHA report
+    /// whose row is its cell's preimage ([`ReportBuf::row`] is then
+    /// `Some`); `None` for every other report.
+    pub fn hashed(&self) -> Option<HashedReport> {
+        self.hashed
+    }
+
     /// Clears the support and hands out a scratch vector of exactly
     /// `bits` bits (reallocating only when the width changes), for a
     /// protocol that writes its report as an index list.
@@ -103,6 +131,7 @@ impl ReportBuf {
         self.support.clear();
         self.dense = false;
         self.listed = true;
+        self.hashed = None;
         &mut self.support
     }
 
@@ -305,12 +334,8 @@ impl LolohaState {
         let (g, k) = (client.params().g() as usize, client.k());
         let words = (k as usize).div_ceil(64);
         let cells = if g * words * 8 <= 4 * k as usize + 4 * (g + 1) {
-            let hash = client.hash_fn();
             let mut rows = vec![0u64; g * words];
-            for v in 0..k {
-                let at = hash.hash(v) as usize * words + v as usize / 64;
-                rows[at] |= 1 << (v % 64);
-            }
+            client.hash_fn().preimage_rows(k, 0..g as u32, &mut rows);
             CellSupports::Rows { words, rows }
         } else {
             CellSupports::Table(Preimages::build(client.hash_fn(), k))
@@ -321,12 +346,20 @@ impl LolohaState {
 
 impl ClientState for LolohaState {
     fn report_into(&mut self, value: u64, rng: &mut LdpRng, out: &mut ReportBuf) {
+        let fresh = self.client.distinct_cells() == 0;
         let cell = self.client.report(value, rng);
         match &self.cells {
             CellSupports::Rows { words, rows } => {
                 let row = &rows[cell as usize * words..][..*words];
                 let k = self.client.k() as usize;
                 out.reset_row(k).copy_from_blocks(row);
+                // Rows are kept for at most 65 cells (see `CellSupports`),
+                // so every cell fits a byte.
+                out.hashed = u8::try_from(cell).ok().map(|cell| HashedReport {
+                    hash: *self.client.hash_fn(),
+                    cell,
+                    fresh,
+                });
             }
             CellSupports::Table(table) => out
                 .reset_list()

@@ -3,13 +3,15 @@
 //! One daemon aggregates under one resolved protocol configuration.
 //! Remote loadgen workers connect over TCP, handshake with a
 //! [`Frame::Hello`] pinning the configuration fingerprint, and stream
-//! [`Frame::Submit`] batches. The connection thread folds each accepted
-//! frame straight from its decoded [`ReportBatch`] into shard
+//! [`Frame::Submit`] batches — or, for LOLOHA, [`Frame::SubmitHashed`]
+//! batches of ⟨hash, cell⟩ reports. The connection thread folds each
+//! accepted frame straight from its decoded batch into shard
 //! `worker_id % shards` (rows through the carry-save [`Shard::add_rows`],
-//! index lists through [`Shard::add_report_batch`]) and only then acks
-//! it, exactly once. There are no ingest worker threads: a running
-//! daemon has its accept thread, the latch watcher, and one thread per
-//! connection. A [`ShardedAggregator`] holds the method's metadata and
+//! index lists through [`Shard::add_report_batch`], hashed reports
+//! through the shard's row cache, which expands each into its
+//! preimage row) and only then acks it, exactly once. There are no
+//! ingest worker threads: a running daemon has its accept thread, the
+//! latch watcher, and one thread per connection. A [`ShardedAggregator`] holds the method's metadata and
 //! turns the merged shards into each round's estimate.
 //!
 //! # Durability and exactly-once
@@ -53,17 +55,18 @@
 use crate::conn::{Conn, Polled};
 use crate::deadline::Deadline;
 use crate::error::{ErrorCode, NetError};
-use crate::proto::{config_fingerprint, Frame};
+use crate::proto::{config_fingerprint, Frame, HashedBatch, MAX_WIRE_DIM};
+use crate::rowcache::{RowCache, ROW_CACHE_BYTES};
 use crate::signal;
 use crate::store::{NetCheckpoint, NetStore};
 use ldp_ingest::{ReportBatch, ShardCheckpoint, ShardState};
-use ldp_obs::{Gauge, Histogram, MetricsRegistry, Span};
+use ldp_obs::{Counter, Gauge, Histogram, MetricsRegistry, Span};
 use ldp_primitives::codec::CodecError;
 use ldp_runtime::{Method, Shard, ShardedAggregator};
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -158,7 +161,14 @@ struct Shared {
     agg: Mutex<ShardedAggregator>,
     /// The round's partial counts: session `w` folds into shard
     /// `w % shards.len()`.
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<ShardSlot>>,
+    /// A LOLOHA daemon's hash-cell count `g`; `None` refuses hashed
+    /// submits.
+    hashed_g: Option<u32>,
+    /// Bytes held by all row caches, mirrored into `row_cache_bytes`.
+    row_cache_total: AtomicUsize,
+    row_cache_bytes: Gauge,
+    row_cache_misses: Counter,
     /// The checkpoint-consistency gate (see module docs).
     gate: RwLock<()>,
     sessions: Mutex<SessionTable>,
@@ -184,6 +194,13 @@ struct Shared {
     obs: MetricsRegistry,
 }
 
+/// One aggregation shard and, on a LOLOHA daemon, the row cache that
+/// expands the hashed reports folded into it; one lock guards both.
+struct ShardSlot {
+    shard: Shard,
+    rows: Option<RowCache>,
+}
+
 /// Locks a mutex, shrugging off poisoning: every guarded structure here
 /// stays valid across a panicked holder, and the daemon must keep
 /// serving other connections.
@@ -202,8 +219,8 @@ impl Shared {
             shards: self
                 .shards
                 .iter()
-                .map(|shard| {
-                    let shard = lock(shard);
+                .map(|slot| {
+                    let shard = &lock(slot).shard;
                     ShardState {
                         counts: shard.counts().to_vec(),
                         reports: shard.reports(),
@@ -258,8 +275,15 @@ impl Collectd {
         )
         .map_err(|e| NetError::Pipeline(e.to_string()))?;
         let dim = agg.dim();
+        let hashed_g = agg.loloha_params().map(|params| params.g());
+        let cache_share = ROW_CACHE_BYTES / agg.shard_count();
         let shards = (0..agg.shard_count())
-            .map(|_| Mutex::new(Shard::with_dim(dim)))
+            .map(|_| {
+                Mutex::new(ShardSlot {
+                    shard: Shard::with_dim(dim),
+                    rows: hashed_g.map(|g| RowCache::new(cfg.k, g, cache_share)),
+                })
+            })
             .collect();
         let fingerprint =
             config_fingerprint(cfg.method, cfg.k, dim as u64, cfg.eps_inf, cfg.eps_first);
@@ -274,6 +298,10 @@ impl Collectd {
         let shared = Arc::new(Shared {
             agg: Mutex::new(agg),
             shards,
+            hashed_g,
+            row_cache_total: AtomicUsize::new(0),
+            row_cache_bytes: obs.gauge("ldp.netd.row_cache_bytes"),
+            row_cache_misses: obs.counter("ldp.netd.row_cache_misses"),
             gate: RwLock::new(()),
             sessions: Mutex::new(SessionTable::default()),
             round: AtomicU64::new(0),
@@ -393,7 +421,7 @@ impl Drop for Collectd {
 /// way. A checkpoint whose dimension or any shard's length differs from
 /// `dim` is rejected before any shard is folded.
 fn restore_shards(
-    shards: &[Mutex<Shard>],
+    shards: &[Mutex<ShardSlot>],
     dim: usize,
     cp: &ShardCheckpoint,
 ) -> Result<(), NetError> {
@@ -408,7 +436,9 @@ fn restore_shards(
         )));
     }
     for (j, state) in cp.shards.iter().enumerate() {
-        lock(&shards[j % shards.len()]).add_batch(&state.counts, state.reports);
+        lock(&shards[j % shards.len()])
+            .shard
+            .add_batch(&state.counts, state.reports);
     }
     Ok(())
 }
@@ -617,47 +647,60 @@ fn handle_frame(
                     dim: shared.dim,
                 });
             }
-            let reports = u32::try_from(batch.report_count())
-                .map_err(|_| NetError::BadBatch("report count beyond u32"))?;
-            let applied;
-            {
-                let _gate = shared.gate.read().unwrap_or_else(|e| e.into_inner());
-                let mut shard = lock(&shared.shards[worker as usize % shared.shards.len()]);
-                let high = lock(&shared.sessions)
-                    .applied
-                    .get(&worker)
-                    .copied()
-                    .unwrap_or(0);
-                if seq <= high {
-                    applied = false; // duplicate of an applied frame: re-ack only
-                } else if seq != high + 1 {
-                    return Err(NetError::Protocol("submit sequence gap"));
+            apply_submit(shared, worker, seq, batch.report_count(), |slot| {
+                fold(&mut slot.shard, &batch)
+            })
+        }
+        Frame::SubmitHashed {
+            seq,
+            key_base,
+            batch,
+        } => {
+            let worker = session.ok_or(NetError::Protocol("submit before hello"))?;
+            let _timed = Span::enter(&shared.apply_ns);
+            // The decoder checked every hash and cell against the frame's
+            // g; the frame's g must be this daemon's.
+            match shared.hashed_g {
+                None => return Err(NetError::Protocol("hashed submit to a non-LOLOHA daemon")),
+                Some(g) if g != batch.g() => {
+                    return Err(NetError::Protocol(
+                        "hashed submit's g differs from the daemon's",
+                    ))
+                }
+                Some(_) => {}
+            }
+            check_hashed_rows(&batch, shared.dim)?;
+            // A report without its row costs the daemon a pass over the
+            // domain when it misses the cache; a frame may ask for at
+            // most one widest row's worth of such passes.
+            let expansion = if batch.row_words() == 0 {
+                (batch.len() as u64).saturating_mul(shared.k)
+            } else {
+                0
+            };
+            if expansion > u64::from(MAX_WIRE_DIM) {
+                return Err(NetError::OversizedBatch {
+                    reports: u32::try_from(batch.len()).unwrap_or(u32::MAX),
+                    indices: u32::try_from(expansion).unwrap_or(u32::MAX),
+                });
+            }
+            apply_submit(shared, worker, seq, batch.len(), |slot| {
+                let cache = slot
+                    .rows
+                    .as_mut()
+                    .expect("a LOLOHA daemon's shards have row caches");
+                let before = cache.bytes();
+                let misses = cache.fold(&mut slot.shard, key_base, &batch);
+                shared.row_cache_misses.inc_by(misses);
+                let after = cache.bytes();
+                let total = &shared.row_cache_total;
+                let total = if after >= before {
+                    total.fetch_add(after - before, Ordering::Relaxed) + (after - before)
                 } else {
-                    fold(&mut shard, &batch);
-                    lock(&shared.sessions).applied.insert(worker, seq);
-                    applied = true;
-                }
-            }
-            if applied {
-                let total = shared.frames_applied.fetch_add(1, Ordering::SeqCst) + 1;
-                let since = shared.frames_since_ckpt.fetch_add(1, Ordering::SeqCst) + 1;
-                if shared.checkpoint_every > 0 && since >= shared.checkpoint_every {
-                    shared.checkpoint_now()?;
-                }
-                if shared.kill_after_frames.is_some_and(|n| total >= n) {
-                    shared.kill.store(true, Ordering::SeqCst);
-                }
-            }
-            let durable_seq = lock(&shared.sessions)
-                .durable
-                .get(&worker)
-                .copied()
-                .unwrap_or(0);
-            Ok(Reply::Send(Frame::Ack {
-                seq,
-                reports,
-                durable_seq,
-            }))
+                    total.fetch_sub(before - after, Ordering::Relaxed) - (before - after)
+                };
+                shared.row_cache_bytes.set(total as u64);
+            })
         }
         Frame::EndRound { round } => {
             let current = shared.round.load(Ordering::SeqCst);
@@ -679,8 +722,8 @@ fn handle_frame(
             {
                 let _gate = shared.gate.write().unwrap_or_else(|e| e.into_inner());
                 let mut agg = lock(&shared.agg);
-                for (i, shard) in shared.shards.iter().enumerate() {
-                    let mut shard = lock(shard);
+                for (i, slot) in shared.shards.iter().enumerate() {
+                    let shard = &mut lock(slot).shard;
                     agg.push_batch(i, shard.counts(), shard.reports());
                     shard.reset();
                 }
@@ -717,6 +760,89 @@ fn handle_frame(
     }
 }
 
+/// Checks the rows a hashed batch carries, if any, against the daemon's
+/// dimension: exactly `⌈dim/64⌉` words each, and no bit from `dim` on
+/// (the first such index is the typed answer).
+fn check_hashed_rows(batch: &HashedBatch, dim: usize) -> Result<(), NetError> {
+    let words = batch.row_words();
+    if words == 0 {
+        return Ok(());
+    }
+    if words != dim.div_ceil(64) {
+        return Err(NetError::Protocol(
+            "hashed rows' width differs from the daemon's dimension",
+        ));
+    }
+    let tail = dim % 64;
+    if tail == 0 {
+        return Ok(());
+    }
+    let last_words = batch.rows().chunks_exact(words).map(|row| row[words - 1]);
+    match last_words.map(|last| last >> tail).find(|&past| past != 0) {
+        Some(past) => Err(NetError::SupportOutOfRange {
+            index: dim + past.trailing_zeros() as usize,
+            dim,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Applies one validated submit of `reports` reports for session
+/// `worker`: under the gate's read side and the session's shard lock,
+/// checks `seq` against the session's high-water, folds the frame into
+/// the shard with `fold` when it is the next one, and advances the
+/// high-water; then takes any periodic checkpoint and answers the ack.
+/// A duplicate is re-acked without folding.
+fn apply_submit(
+    shared: &Arc<Shared>,
+    worker: u32,
+    seq: u64,
+    reports: usize,
+    fold: impl FnOnce(&mut ShardSlot),
+) -> Result<Reply, NetError> {
+    let reports =
+        u32::try_from(reports).map_err(|_| NetError::BadBatch("report count beyond u32"))?;
+    let applied;
+    {
+        let _gate = shared.gate.read().unwrap_or_else(|e| e.into_inner());
+        let mut slot = lock(&shared.shards[worker as usize % shared.shards.len()]);
+        let high = lock(&shared.sessions)
+            .applied
+            .get(&worker)
+            .copied()
+            .unwrap_or(0);
+        if seq <= high {
+            applied = false; // duplicate of an applied frame: re-ack only
+        } else if seq != high + 1 {
+            return Err(NetError::Protocol("submit sequence gap"));
+        } else {
+            fold(&mut slot);
+            lock(&shared.sessions).applied.insert(worker, seq);
+            applied = true;
+        }
+    }
+    if applied {
+        let total = shared.frames_applied.fetch_add(1, Ordering::SeqCst) + 1;
+        let since = shared.frames_since_ckpt.fetch_add(1, Ordering::SeqCst) + 1;
+        if shared.checkpoint_every > 0 && since >= shared.checkpoint_every {
+            shared.checkpoint_now()?;
+        }
+        if shared.kill_after_frames.is_some_and(|n| total >= n) {
+            shared.kill.store(true, Ordering::SeqCst);
+        }
+    }
+    let durable_seq = lock(&shared.sessions)
+        .durable
+        .get(&worker)
+        .copied()
+        .unwrap_or(0);
+    Ok(Reply::Send(Frame::Ack {
+        seq,
+        reports,
+        durable_seq,
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,8 +872,12 @@ mod tests {
         .unwrap()
     }
 
-    fn shards(n: usize, dim: usize) -> Vec<Mutex<Shard>> {
-        (0..n).map(|_| Mutex::new(Shard::with_dim(dim))).collect()
+    fn shards(n: usize, dim: usize) -> Vec<Mutex<ShardSlot>> {
+        let slot = || ShardSlot {
+            shard: Shard::with_dim(dim),
+            rows: None,
+        };
+        (0..n).map(|_| Mutex::new(slot())).collect()
     }
 
     #[test]
@@ -777,7 +907,7 @@ mod tests {
             ));
         }
         // The valid shard ahead of the short one was not folded in.
-        assert!(live.iter().all(|s| lock(s).reports() == 0));
+        assert!(live.iter().all(|s| lock(s).shard.reports() == 0));
     }
 
     #[test]
@@ -792,7 +922,7 @@ mod tests {
             shards: vec![saved(0, 1), saved(1, 2), saved(2, 4)],
         };
         restore_shards(&live, 3, &cp).unwrap();
-        let (a, b) = (lock(&live[0]), lock(&live[1]));
+        let (a, b) = (&lock(&live[0]).shard, &lock(&live[1]).shard);
         assert_eq!((a.counts(), a.reports()), (&[1, 0, 4][..], 5));
         assert_eq!((b.counts(), b.reports()), (&[0, 2, 0][..], 2));
     }

@@ -21,6 +21,9 @@
 //! * [`conn`] — one framed, instrumented connection (both endpoints).
 //! * [`daemon`] — [`Collectd`]: accept loop, session dedup,
 //!   checkpointing, graceful drain, crash resume.
+//! * `rowcache` — the daemon's bounded per-shard cache that expands
+//!   LOLOHA ⟨hash, cell⟩ reports into their preimage rows (its byte
+//!   cap is [`ROW_CACHE_BYTES`]).
 //! * [`loadgen`] — [`run_loadgen`] / [`NetSink`]: deterministic
 //!   replayable traffic over [`ldp_client::ReportSink`].
 //! * [`store`] — the `LDNS` daemon checkpoint container (nests the
@@ -30,7 +33,9 @@
 //!
 //! This crate is collector-side infrastructure: it never sees true
 //! values, client seeds, or memoized protocol state — only sanitized
-//! reports in transit, like `ldp_ingest` below it.
+//! reports in transit, like `ldp_ingest` below it. A LOLOHA report may
+//! travel as the user's hash and reported cell, which is the paper's
+//! own report and no more than its preimage row reveals.
 
 #![warn(missing_docs)]
 
@@ -40,6 +45,7 @@ pub mod deadline;
 pub mod error;
 pub mod loadgen;
 pub mod proto;
+mod rowcache;
 pub mod signal;
 pub mod store;
 
@@ -52,8 +58,10 @@ pub use loadgen::{
     DEFAULT_FRAME_REPORTS,
 };
 pub use proto::{
-    config_fingerprint, decode_frame, encode_frame, read_frame, write_frame, Frame, CONTROL_WORKER,
-    MAX_FRAME_LEN, MAX_WIRE_DIM, MAX_WIRE_INDICES, MAX_WIRE_REPORTS, WIRE_MAGIC, WIRE_VERSION,
+    config_fingerprint, decode_frame, encode_frame, read_frame, write_frame, Frame, HashedBatch,
+    CONTROL_WORKER, MAX_FRAME_LEN, MAX_WIRE_DIM, MAX_WIRE_INDICES, MAX_WIRE_REPORTS, WIRE_MAGIC,
+    WIRE_VERSION,
 };
+pub use rowcache::ROW_CACHE_BYTES;
 pub use signal::{install_term_handler, request_term, reset_term, term_requested};
 pub use store::{decode_net_checkpoint, encode_net_checkpoint, NetCheckpoint, NetStore};

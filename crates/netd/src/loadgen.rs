@@ -11,6 +11,12 @@
 //! numbers, which the daemon's session dedup then applies exactly once.
 //! No client-side frame log is ever kept.
 //!
+//! A [`NetSink`] sends LOLOHA reports as ⟨hash, cell⟩
+//! ([`Frame::SubmitHashed`], 17 bytes a report; a user's first report
+//! also carries its row, so `collectd` never computes the rows of a
+//! whole population that re-keys at once) and every other report as its
+//! support ([`Frame::Submit`]); both kinds share one sequence.
+//!
 //! Each [`NetSink`] keeps up to eight submit frames in flight: it sends
 //! a frame without waiting for the previous one's ack, and waits for the
 //! oldest ack only when the window is full, and for all of them at the
@@ -27,18 +33,36 @@
 use crate::conn::Conn;
 use crate::deadline::Deadline;
 use crate::error::NetError;
-use crate::proto::{config_fingerprint, submit_len_bound, Frame, MAX_FRAME_LEN, MAX_WIRE_INDICES};
-use ldp_client::{ClientConfig, ClientPool, ReportSink};
+use crate::proto::{
+    config_fingerprint, hashed_payload_len, submit_len_bound, Frame, HashedBatch, MAX_FRAME_LEN,
+    MAX_WIRE_DIM, MAX_WIRE_INDICES, MAX_WIRE_REPORTS,
+};
+use ldp_client::{ClientConfig, ClientPool, HashedReport, ReportSink};
+use ldp_hash::SeededHash;
 use ldp_ingest::ReportBatch;
 use ldp_obs::{Histogram, MetricsRegistry, Span};
-use ldp_primitives::codec::fnv1a;
+use ldp_primitives::codec::{fnv1a, CHECKSUM_LEN, HEADER_LEN};
 use ldp_runtime::Method;
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-/// Reports per submit frame when the caller does not override it.
-pub const DEFAULT_FRAME_REPORTS: usize = 128;
+/// Most reports per submit frame when the caller does not override it.
+/// Hashed LOLOHA reports fill frames this large (1024 of them make a
+/// 17 KiB frame); a frame of supports stops at 128 reports.
+pub const DEFAULT_FRAME_REPORTS: usize = 1024;
+
+/// Most reports in a frame of supports (rows or index lists), whatever
+/// the caller's `frame_reports`: a support spans up to `k` bits, so 128
+/// of them already make a 23.6 KB frame of BiLOLOHA rows at the DB_MT
+/// domain.
+const SUPPORT_FRAME_REPORTS: usize = 128;
+
+/// Body bytes past which a [`NetSink`] cuts a frame of two or more
+/// hashed reports. Each frame costs a write, a read and an ack on both
+/// sides, so hashed frames are sized in bytes: about what 128 BiLOLOHA
+/// rows made at the DB_MT domain (23.6 KB).
+const HASHED_FRAME_BYTES: usize = 32 << 10;
 
 /// Submit frames a [`NetSink`] keeps sent but unacked before it waits
 /// for the oldest one's ack.
@@ -64,7 +88,9 @@ pub struct LoadgenConfig {
     pub rounds: u64,
     /// Connection workers (one TCP connection each; clamped to ≥ 1).
     pub workers: usize,
-    /// Reports packed per submit frame (clamped to ≥ 1).
+    /// Most reports packed per submit frame (clamped to
+    /// `[1, MAX_WIRE_REPORTS]`); a frame of supports, rather than hashed
+    /// LOLOHA reports, holds at most 128.
     pub frame_reports: usize,
     /// Master seed for the pool's per-user streams and [`round_values`].
     pub seed: u64,
@@ -154,10 +180,16 @@ pub struct NetSink {
     resume_seq: u64,
     /// The daemon's round at handshake time.
     server_round: u64,
+    /// The domain size: a report without its row costs the daemon a
+    /// pass over `[0, k)`.
+    k: u64,
     frame_reports: usize,
     batch: ReportBatch,
     /// Indices (set bits, for rows) in `batch`.
     indices: usize,
+    /// The open frame's hashed reports; at most one of `batch` and
+    /// `hashed` holds reports.
+    hashed: HashedBatch,
     key_base: u64,
     next_key: u64,
     /// Sent, unacked frames as (seq, reports), oldest first.
@@ -210,9 +242,11 @@ impl NetSink {
             seq: 0,
             resume_seq,
             server_round,
-            frame_reports: frame_reports.max(1),
+            k,
+            frame_reports: frame_reports.clamp(1, MAX_WIRE_REPORTS as usize),
             batch: ReportBatch::new(),
             indices: 0,
+            hashed: HashedBatch::new(2, 0),
             key_base: 0,
             next_key: 0,
             unacked: VecDeque::with_capacity(WINDOW),
@@ -242,8 +276,14 @@ impl NetSink {
         self.reports_acked
     }
 
+    /// Reports in the open frame.
+    fn open_reports(&self) -> usize {
+        self.batch.report_count() + self.hashed.len()
+    }
+
     fn flush_frame(&mut self) -> Result<(), NetError> {
-        if self.batch.is_empty() {
+        let reports = self.open_reports();
+        if reports == 0 {
             return Ok(());
         }
         self.seq += 1;
@@ -252,23 +292,42 @@ impl NetSink {
             // regeneration keeps the RNG streams and sequence numbers
             // aligned, but resending would only earn a duplicate-ack.
             self.batch.clear();
+            self.hashed.reset(self.hashed.g(), self.hashed.row_words());
             return Ok(());
         }
-        let reports = u32::try_from(self.batch.report_count())
-            .map_err(|_| NetError::BadBatch("report count beyond u32"))?;
+        let reports =
+            u32::try_from(reports).map_err(|_| NetError::BadBatch("report count beyond u32"))?;
         if self.unacked.len() == WINDOW {
             self.await_ack()?;
         }
-        let frame = Frame::Submit {
-            seq: self.seq,
-            key_base: self.key_base,
-            batch: std::mem::take(&mut self.batch),
+        let (seq, key_base) = (self.seq, self.key_base);
+        let frame = if self.hashed.is_empty() {
+            let batch = std::mem::take(&mut self.batch);
+            Frame::Submit {
+                seq,
+                key_base,
+                batch,
+            }
+        } else {
+            let batch = std::mem::replace(&mut self.hashed, HashedBatch::new(2, 0));
+            Frame::SubmitHashed {
+                seq,
+                key_base,
+                batch,
+            }
         };
         let sent = self.conn.send(&frame);
         // The next frame reuses the batch's buffers.
-        if let Frame::Submit { mut batch, .. } = frame {
-            batch.clear();
-            self.batch = batch;
+        match frame {
+            Frame::Submit { mut batch, .. } => {
+                batch.clear();
+                self.batch = batch;
+            }
+            Frame::SubmitHashed { mut batch, .. } => {
+                batch.reset(batch.g(), batch.row_words());
+                self.hashed = batch;
+            }
+            _ => {}
         }
         sent?;
         self.unacked.push_back((self.seq, reports));
@@ -328,37 +387,69 @@ impl NetSink {
         }
     }
 
-    /// Opens room in the frame for `user`'s report of `indices` indices,
-    /// a row of `row_words` words or (`None`) a list: the open frame is
-    /// flushed first when the key does not follow on, the frame is full,
-    /// the report's shape differs, or the frame would pass
-    /// [`MAX_WIRE_INDICES`] indices or [`MAX_FRAME_LEN`] bytes with it.
-    fn make_room(
-        &mut self,
-        user: u64,
-        row_words: Option<usize>,
-        indices: usize,
-    ) -> Result<(), NetError> {
-        if !self.batch.is_empty() {
-            let reports = self.batch.report_count() + 1;
-            let total = self.indices + indices;
-            if user != self.next_key
-                || reports > self.frame_reports
-                || !self.batch.takes(row_words)
-                || total > MAX_WIRE_INDICES as usize
-                || submit_len_bound(reports, total, row_words) > MAX_FRAME_LEN as usize
-            {
+    /// Opens room in the frame for `user`'s report of `shape`: the open
+    /// frame is flushed first when the key does not follow on, the
+    /// report's shape differs, or the frame is full with it. A frame of
+    /// supports is full past `frame_reports` (at most
+    /// [`SUPPORT_FRAME_REPORTS`]) reports, [`MAX_WIRE_INDICES`] indices or
+    /// [`MAX_FRAME_LEN`] bytes; a hashed frame past `frame_reports`
+    /// reports, [`HASHED_FRAME_BYTES`] bytes or, without rows, `k`-value
+    /// passes over [`MAX_WIRE_DIM`] values (the daemon's build cap). A
+    /// single report may fill a frame up to [`MAX_FRAME_LEN`].
+    fn make_room(&mut self, user: u64, shape: Shape) -> Result<(), NetError> {
+        let reports = self.open_reports();
+        if reports > 0 {
+            let n = reports + 1;
+            let fits = match shape {
+                Shape::Hashed { g, words } => {
+                    let body = HEADER_LEN + 1 + hashed_payload_len(n, words) + CHECKSUM_LEN;
+                    let passes = if words == 0 { n as u64 } else { 0 };
+                    !self.hashed.is_empty()
+                        && (self.hashed.g(), self.hashed.row_words()) == (g, words)
+                        && n <= self.frame_reports
+                        && body <= HASHED_FRAME_BYTES
+                        && passes.saturating_mul(self.k) <= u64::from(MAX_WIRE_DIM)
+                }
+                Shape::Support { row_words, indices } => {
+                    let total = self.indices + indices;
+                    self.hashed.is_empty()
+                        && self.batch.takes(row_words)
+                        && n <= self.frame_reports.min(SUPPORT_FRAME_REPORTS)
+                        && total <= MAX_WIRE_INDICES as usize
+                        && submit_len_bound(n, total, row_words) <= MAX_FRAME_LEN as usize
+                }
+            };
+            if user != self.next_key || !fits {
                 self.flush_frame()?;
             }
         }
-        if self.batch.is_empty() {
+        if self.open_reports() == 0 {
             self.key_base = user;
             self.indices = 0;
+            if let Shape::Hashed { g, words } = shape {
+                self.hashed.reset(g, words);
+            }
         }
-        self.indices += indices;
+        if let Shape::Support { indices, .. } = shape {
+            self.indices += indices;
+        }
         self.next_key = user + 1;
         Ok(())
     }
+}
+
+/// What a report needs of the frame it joins.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// A support of `indices` indices: a row of `row_words` words, or
+    /// (`None`) a list.
+    Support {
+        row_words: Option<usize>,
+        indices: usize,
+    },
+    /// A hashed report over `g` cells, carrying a row of `words` words
+    /// (none when 0).
+    Hashed { g: u32, words: usize },
 }
 
 impl ReportSink for NetSink {
@@ -368,7 +459,13 @@ impl ReportSink for NetSink {
         if support.iter().any(|&index| u32::try_from(index).is_err()) {
             return Err(NetError::BadBatch("index beyond u32"));
         }
-        self.make_room(user, None, support.len())?;
+        self.make_room(
+            user,
+            Shape::Support {
+                row_words: None,
+                indices: support.len(),
+            },
+        )?;
         // Every index fits u32 (checked just above), so the cast is lossless.
         self.batch
             .push_report(support.iter().map(|&index| index as u32));
@@ -380,8 +477,28 @@ impl ReportSink for NetSink {
             return self.submit(user, &[]);
         }
         let indices = row.iter().map(|w| w.count_ones() as usize).sum();
-        self.make_room(user, Some(row.len()), indices)?;
+        self.make_room(
+            user,
+            Shape::Support {
+                row_words: Some(row.len()),
+                indices,
+            },
+        )?;
         self.batch.push_row(row);
+        Ok(())
+    }
+
+    fn submit_hashed(
+        &mut self,
+        user: u64,
+        report: HashedReport,
+        row: &[u64],
+    ) -> Result<(), NetError> {
+        // A first report's row spares the daemon computing it.
+        let row = if report.fresh { row } else { &[] };
+        let (g, words) = (report.hash.g(), row.len());
+        self.make_room(user, Shape::Hashed { g, words })?;
+        self.hashed.push(report.hash, report.cell, row);
         Ok(())
     }
 

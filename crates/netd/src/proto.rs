@@ -26,7 +26,10 @@
 //! strictly ascending and it is smaller, as one bit row per report;
 //! the encoder picks from the batch's reports alone — the same bytes
 //! whether the batch holds lists or rows — and the decoder gives back
-//! a batch in the wire's layout, equal to the one encoded.
+//! a batch in the wire's layout, equal to the one encoded. A LOLOHA
+//! report can instead travel as what it is, the user's hash and one
+//! cell ([`Frame::SubmitHashed`], 17 bytes a report, plus the row for a
+//! user's first report); the daemon expands it into its preimage row.
 //!
 //! The container fingerprint carries the [`config_fingerprint`] both
 //! sides derive from their own protocol configuration, so every frame —
@@ -34,6 +37,7 @@
 //! under.
 
 use crate::error::{ErrorCode, NetError};
+use ldp_hash::{CwHash, SeededHash};
 use ldp_ingest::ReportBatch;
 use ldp_primitives::codec::{fnv1a, CodecReader, CodecWriter, CHECKSUM_LEN, HEADER_LEN};
 use ldp_runtime::Method;
@@ -54,7 +58,7 @@ pub const WIRE_VERSION: u16 = 3;
 /// submit ([`MAX_WIRE_INDICES`] indices ≈ 4 MiB) plus headroom for a
 /// dense round-result estimate.
 pub const MAX_FRAME_LEN: u32 = 1 << 23;
-/// Most reports one submit frame may claim.
+/// Most reports one submit frame (either kind) may claim.
 pub const MAX_WIRE_REPORTS: u32 = 1 << 16;
 /// Most support indices one submit frame may claim (mirrors the ingest
 /// transport's flush invariant).
@@ -147,6 +151,111 @@ pub enum Frame {
         /// Human-readable detail (never report contents).
         detail: String,
     },
+    /// Client → daemon LOLOHA report batch: each report as its user's
+    /// hash and reported cell, contiguously keyed like [`Frame::Submit`]
+    /// and sharing its sequence, window, dedup and ack rules.
+    SubmitHashed {
+        /// Per-session monotone frame sequence number, shared with
+        /// [`Frame::Submit`].
+        seq: u64,
+        /// Routing key of the first report; report `i` keys `base + i`.
+        key_base: u64,
+        /// The reports.
+        batch: HashedBatch,
+    },
+}
+
+/// LOLOHA reports as ⟨hash, cell⟩ pairs over one hash-cell count `g`:
+/// report `i` supports every `v` with `hashes()[i].hash(v) == cells()[i]`.
+/// Every hash is a valid Carter–Wegman function over `g` cells and every
+/// cell is below `g` (a cell is one byte on the wire). A batch may also
+/// carry every report's support as a bit row, for a collector that has
+/// not seen these hashes yet; otherwise it carries none.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HashedBatch {
+    g: u32,
+    hashes: Vec<CwHash>,
+    cells: Vec<u8>,
+    /// Words per carried row; 0 when the reports carry no rows.
+    words: usize,
+    /// Report `i`'s row at `rows[i · words ..][.. words]`.
+    rows: Vec<u64>,
+}
+
+impl HashedBatch {
+    /// An empty batch of reports over `g` hash cells, carrying rows of
+    /// `words` words (none when `words` is 0).
+    pub fn new(g: u32, words: usize) -> Self {
+        Self {
+            g,
+            hashes: Vec::new(),
+            cells: Vec::new(),
+            words,
+            rows: Vec::new(),
+        }
+    }
+
+    /// The hash-cell count every report shares.
+    pub fn g(&self) -> u32 {
+        self.g
+    }
+
+    /// Reports in the batch.
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Whether the batch holds no report.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// The reports' hashes, in submission order.
+    pub fn hashes(&self) -> &[CwHash] {
+        &self.hashes
+    }
+
+    /// The reports' cells, in submission order.
+    pub fn cells(&self) -> &[u8] {
+        &self.cells
+    }
+
+    /// Words per carried row; 0 when the reports carry no rows.
+    pub fn row_words(&self) -> usize {
+        self.words
+    }
+
+    /// The carried rows, one per report (empty when none are carried).
+    pub fn rows(&self) -> &[u64] {
+        &self.rows
+    }
+
+    /// Appends one report, with its row when the batch carries rows
+    /// (`row` is empty otherwise).
+    ///
+    /// # Panics
+    /// Panics if the hash's cell count is not the batch's, the cell is
+    /// not below it, or `row` is not [`Self::row_words`] long.
+    pub fn push(&mut self, hash: CwHash, cell: u8, row: &[u64]) {
+        assert!(
+            hash.g() == self.g && u32::from(cell) < self.g,
+            "a report's hash and cell must fit the batch's g"
+        );
+        assert_eq!(row.len(), self.words, "a report's row must fit the batch");
+        self.hashes.push(hash);
+        self.cells.push(cell);
+        self.rows.extend_from_slice(row);
+    }
+
+    /// Empties the batch for reuse over `g` cells and rows of `words`
+    /// words, keeping its buffers.
+    pub fn reset(&mut self, g: u32, words: usize) {
+        self.g = g;
+        self.words = words;
+        self.hashes.clear();
+        self.cells.clear();
+        self.rows.clear();
+    }
 }
 
 impl Frame {
@@ -162,6 +271,7 @@ impl Frame {
             Frame::Shutdown => 6,
             Frame::ShutdownAck { .. } => 7,
             Frame::Error { .. } => 8,
+            Frame::SubmitHashed { .. } => 9,
         }
     }
 
@@ -177,6 +287,7 @@ impl Frame {
             Frame::Shutdown => "shutdown",
             Frame::ShutdownAck { .. } => "shutdown_ack",
             Frame::Error { .. } => "error",
+            Frame::SubmitHashed { .. } => "submit_hashed",
         }
     }
 }
@@ -214,6 +325,11 @@ pub fn encode_frame(frame: &Frame, fingerprint: u64) -> Vec<u8> {
             let payload = submit_payload_len(batch, layout.0, layout.1);
             let w = CodecWriter::with_capacity(WIRE_MAGIC, WIRE_VERSION, fingerprint, payload);
             (w, layout)
+        }
+        Frame::SubmitHashed { batch, .. } => {
+            let payload = 1 + hashed_payload_len(batch.len(), batch.row_words());
+            let w = CodecWriter::with_capacity(WIRE_MAGIC, WIRE_VERSION, fingerprint, payload);
+            (w, (None, 0))
         }
         _ => (
             CodecWriter::new(WIRE_MAGIC, WIRE_VERSION, fingerprint),
@@ -286,6 +402,24 @@ pub fn encode_frame(frame: &Frame, fingerprint: u64) -> Vec<u8> {
         Frame::Error { code, detail } => {
             w.put_u8(code.as_u8());
             w.put_frame(detail.as_bytes());
+        }
+        Frame::SubmitHashed {
+            seq,
+            key_base,
+            batch,
+        } => {
+            w.put_u64(*seq);
+            w.put_u64(*key_base);
+            w.put_u32(u32::try_from(batch.len()).expect("report count fits u32"));
+            w.put_u32(batch.g());
+            w.put_u32(u32::try_from(batch.row_words()).expect("row width fits u32"));
+            for hash in batch.hashes() {
+                let (a, b) = hash.parts();
+                w.put_u64(a);
+                w.put_u64(b);
+            }
+            w.put_bytes(batch.cells());
+            w.put_u64s(batch.rows());
         }
     }
     w.finish()
@@ -376,6 +510,16 @@ pub fn decode_frame(body: &[u8]) -> Result<(u64, Frame), NetError> {
                 .map_err(|_| NetError::Protocol("error detail is not UTF-8"))?;
             Frame::Error { code, detail }
         }
+        9 => {
+            let seq = r.get_u64()?;
+            let key_base = r.get_u64()?;
+            let report_count = r.get_u32()?;
+            Frame::SubmitHashed {
+                seq,
+                key_base,
+                batch: decode_hashed(&mut r, report_count)?,
+            }
+        }
         other => return Err(NetError::UnknownKind(other)),
     };
     r.finish()?;
@@ -392,6 +536,19 @@ const LAYOUT_ROWS: u8 = 1;
 /// Payload bytes of a submit before its layout body: seq, key base,
 /// report count, layout byte, and the layout's own count field.
 const SUBMIT_FIXED: usize = 8 + 8 + 4 + 1 + 4;
+
+/// Payload bytes of a hashed submit before its reports: seq, key base,
+/// report count, `g` and the row width.
+const HASHED_FIXED: usize = 8 + 8 + 4 + 4 + 4;
+/// Payload bytes of one hashed report without a row: `a`, `b` and a
+/// one-byte cell.
+const HASHED_REPORT: usize = 8 + 8 + 1;
+
+/// Payload bytes of a hashed submit of `reports` reports, each with a
+/// row of `row_words` words (none when 0); the kind byte is not counted.
+pub(crate) fn hashed_payload_len(reports: usize, row_words: usize) -> usize {
+    HASHED_FIXED + reports * (HASHED_REPORT + 8 * row_words)
+}
 
 /// An upper bound on the body length of a submit of `reports` reports
 /// holding `indices` indices in all, each report a list or (when
@@ -595,18 +752,71 @@ fn decode_rows(r: &mut CodecReader<'_>, report_count: u32) -> Result<ReportBatch
         ));
     }
     let (bytes, _) = r.take(r.remaining())?.as_chunks::<8>();
-    let popcount: u64 = bytes
-        .iter()
-        .map(|&cell| u64::from(u64::from_le_bytes(cell).count_ones()))
-        .sum();
-    if popcount > u64::from(MAX_WIRE_INDICES) {
-        return Err(NetError::OversizedBatch {
-            reports: report_count,
-            indices: u32::try_from(popcount).unwrap_or(u32::MAX),
-        });
+    // A body of at most MAX_WIRE_INDICES / 64 words cannot hold more set
+    // bits than the cap, so only a larger one is counted.
+    if bytes.len() > (MAX_WIRE_INDICES / 64) as usize {
+        let popcount: u64 = bytes
+            .iter()
+            .map(|&cell| u64::from(u64::from_le_bytes(cell).count_ones()))
+            .sum();
+        if popcount > u64::from(MAX_WIRE_INDICES) {
+            return Err(NetError::OversizedBatch {
+                reports: report_count,
+                indices: u32::try_from(popcount).unwrap_or(u32::MAX),
+            });
+        }
     }
     let cells = bytes.iter().map(|&cell| u64::from_le_bytes(cell)).collect();
     ReportBatch::from_rows(words as usize, cells).map_err(NetError::BadBatch)
+}
+
+/// Reads a hashed submit body: `g`, the row width, then `report_count`
+/// coefficient pairs, as many one-byte cells, and (for a width above 0)
+/// one row per report. The report count, the width, `g` and the exact
+/// payload length are checked first, then every pair against the
+/// Carter–Wegman family and every cell against `g`, all on the frame's
+/// own bytes before any buffer is sized. The rows are not counted
+/// against [`MAX_WIRE_INDICES`]: they fold as rows, never as indices,
+/// and [`MAX_FRAME_LEN`] bounds them.
+fn decode_hashed(r: &mut CodecReader<'_>, report_count: u32) -> Result<HashedBatch, NetError> {
+    let g = r.get_u32()?;
+    let words = r.get_u32()?;
+    if report_count > MAX_WIRE_REPORTS || words > MAX_WIRE_DIM / 64 {
+        return Err(NetError::OversizedBatch {
+            reports: report_count,
+            indices: words.saturating_mul(64),
+        });
+    }
+    if g < 2 {
+        return Err(NetError::BadBatch("a hash needs at least two cells"));
+    }
+    let (n, words) = (report_count as usize, words as usize);
+    if hashed_payload_len(n, words) - HASHED_FIXED != r.remaining() {
+        return Err(NetError::BadBatch(
+            "hashed report count disagrees with payload length",
+        ));
+    }
+    let (pairs, _) = r.take(16 * n)?.as_chunks::<8>();
+    let cells = r.take(n)?;
+    let (rows, _) = r.take(8 * n * words)?.as_chunks::<8>();
+    let hash = |pair: &[[u8; 8]]| {
+        CwHash::from_parts(u64::from_le_bytes(pair[0]), u64::from_le_bytes(pair[1]), g)
+    };
+    if pairs.chunks_exact(2).any(|pair| hash(pair).is_none()) {
+        return Err(NetError::BadBatch(
+            "hash coefficients outside the Carter-Wegman family",
+        ));
+    }
+    if cells.iter().any(|&cell| u32::from(cell) >= g) {
+        return Err(NetError::BadBatch("hashed cell outside [0, g)"));
+    }
+    Ok(HashedBatch {
+        g,
+        hashes: pairs.chunks_exact(2).filter_map(hash).collect(),
+        cells: cells.to_vec(),
+        words,
+        rows: rows.iter().map(|&word| u64::from_le_bytes(word)).collect(),
+    })
 }
 
 /// Writes one encoded body to a stream with its length prefix, in a
@@ -722,6 +932,27 @@ mod tests {
             Frame::Error {
                 code: ErrorCode::Draining,
                 detail: "drain initiated".into(),
+            },
+            Frame::SubmitHashed {
+                seq: 45,
+                key_base: 1028,
+                batch: {
+                    let p = ldp_hash::MERSENNE_P;
+                    let mut batch = HashedBatch::new(3, 0);
+                    batch.push(CwHash::from_parts(p - 1, p - 1, 3).unwrap(), 2, &[]);
+                    batch.push(CwHash::from_parts(1, 0, 3).unwrap(), 0, &[]);
+                    batch
+                },
+            },
+            Frame::SubmitHashed {
+                seq: 46,
+                key_base: 1030,
+                batch: {
+                    let mut batch = HashedBatch::new(2, 2);
+                    batch.push(CwHash::from_parts(7, 3, 2).unwrap(), 1, &[0b1011, 1]);
+                    batch.push(CwHash::from_parts(9, 4, 2).unwrap(), 0, &[u64::MAX, 0]);
+                    batch
+                },
             },
         ]
     }
@@ -927,6 +1158,34 @@ mod tests {
     }
 
     #[test]
+    fn a_body_too_small_to_pass_the_index_cap_skips_the_popcount() {
+        let cap_words = MAX_WIRE_INDICES / 64;
+        // 16 all-ones rows of 1024 words: exactly MAX_WIRE_INDICES bits
+        // in 16 384 words, the largest body decoded without a count.
+        let (reports, words) = (16u32, cap_words / 16);
+        let cells = vec![u64::MAX; cap_words as usize];
+        let body = submit_body(reports, LAYOUT_ROWS, &rows(words, &cells));
+        let (_, frame) = decode_frame(&body).unwrap();
+        let Frame::Submit { batch, .. } = frame else {
+            panic!("a submit decodes as a submit");
+        };
+        assert_eq!(batch.index_count(), MAX_WIRE_INDICES as usize);
+
+        // One word more, one bit over the cap: still counted, and refused.
+        let mut cells = vec![u64::MAX; cap_words as usize];
+        cells.push(1);
+        let reports = cap_words + 1;
+        let body = submit_body(reports, LAYOUT_ROWS, &rows(1, &cells));
+        assert_eq!(
+            decode_frame(&body).unwrap_err(),
+            NetError::OversizedBatch {
+                reports,
+                indices: MAX_WIRE_INDICES + 1
+            }
+        );
+    }
+
+    #[test]
     fn rows_never_exceed_the_width_cap() {
         // Rows would be smaller here, but index 2²⁴ needs one word more
         // than MAX_WIRE_DIM allows, so the encoder keeps lists.
@@ -1076,6 +1335,179 @@ mod tests {
         };
         assert_eq!(encode_frame(&frame, 5)[LAYOUT_AT], LAYOUT_LISTS);
         assert_eq!(pinned(&frame), (872, 0x3eeb_b76a_85ee_cabd));
+    }
+
+    /// A sink keeping each hashed report in a hashed batch without rows,
+    /// and each first report with its row in a second batch.
+    struct CaptureHashed(HashedBatch, HashedBatch);
+
+    impl ldp_client::ReportSink for CaptureHashed {
+        type Error = std::convert::Infallible;
+
+        fn submit(&mut self, user: u64, _support: &[usize]) -> Result<(), Self::Error> {
+            panic!("user {user}'s LOLOHA report came as a list");
+        }
+
+        fn submit_hashed(
+            &mut self,
+            _user: u64,
+            report: ldp_client::HashedReport,
+            row: &[u64],
+        ) -> Result<(), Self::Error> {
+            self.0.push(report.hash, report.cell, &[]);
+            if report.fresh {
+                self.1.push(report.hash, report.cell, row);
+            }
+            Ok(())
+        }
+    }
+
+    /// The reports of [`biloloha_batch`] as ⟨hash, cell⟩, without rows
+    /// and (all of them being first reports) with them.
+    fn biloloha_hashed() -> (HashedBatch, HashedBatch) {
+        let (k, users) = (1412u64, 128usize);
+        let cfg = ldp_client::ClientConfig::for_method(Method::BiLoloha, k, 2.0, 1.0).unwrap();
+        let mut pool =
+            ldp_client::ClientPool::with_obs(cfg, 7, users, &ldp_obs::MetricsRegistry::disabled())
+                .unwrap();
+        let values: Vec<u64> = (0..users as u64).map(|u| (u * 37) % k).collect();
+        let mut sinks = [CaptureHashed(
+            HashedBatch::new(2, 0),
+            HashedBatch::new(2, 23),
+        )];
+        pool.sanitize_round_sinks(&values, &mut sinks).unwrap();
+        let [CaptureHashed(plain, fresh)] = sinks;
+        (plain, fresh)
+    }
+
+    #[test]
+    fn a_hashed_biloloha_frame_carries_17_bytes_a_report() {
+        let (plain, fresh) = biloloha_hashed();
+        assert_eq!((plain.len(), fresh.len()), (128, 128));
+        let header = HEADER_LEN + 1 + HASHED_FIXED + CHECKSUM_LEN;
+        assert_eq!(HASHED_REPORT, 17);
+        // First reports carry their 23-word rows as well: the rows
+        // frame's bytes plus 17 a report.
+        for (batch, per_report) in [(plain, 17), (fresh, 17 + 23 * 8)] {
+            let frame = Frame::SubmitHashed {
+                seq: 1,
+                key_base: 0,
+                batch,
+            };
+            let body = encode_frame(&frame, 5);
+            assert_eq!(body.len(), header + 128 * per_report);
+            assert_eq!(decode_frame(&body).unwrap(), (5, frame));
+        }
+    }
+
+    /// The exact bytes of two fixed hashed submits, without and with
+    /// rows, as length and XXH64.
+    #[test]
+    fn fixed_hashed_submits_encode_to_pinned_bytes() {
+        let (plain, fresh) = biloloha_hashed();
+        let pins = [
+            (2227, 0x8fde_8635_c5f1_1d99),
+            (25_779, 0x8afc_c876_4ca2_5393),
+        ];
+        for (batch, pin) in [plain, fresh].into_iter().zip(pins) {
+            let frame = Frame::SubmitHashed {
+                seq: 3,
+                key_base: 256,
+                batch,
+            };
+            let body = encode_frame(&frame, 5);
+            assert_eq!((body.len(), ldp_primitives::codec::xxh64(&body)), pin);
+        }
+    }
+
+    #[test]
+    fn hashed_claims_fail_typed_before_allocation() {
+        /// A hand-built hashed submit: `report_count`, `g`, a row width
+        /// of 0, then `rest`.
+        fn hashed_body(report_count: u32, g: u32, rest: &[u8]) -> Vec<u8> {
+            let mut w = CodecWriter::new(WIRE_MAGIC, WIRE_VERSION, 0);
+            w.put_u8(9);
+            w.put_u64(1);
+            w.put_u64(0);
+            w.put_u32(report_count);
+            w.put_u32(g);
+            w.put_u32(0);
+            w.put_bytes(rest);
+            w.finish()
+        }
+        /// Reports as `a | b` pairs, then their cells.
+        fn reports(parts: &[(u64, u64, u8)]) -> Vec<u8> {
+            let mut out = Vec::new();
+            for &(a, b, _) in parts {
+                out.extend_from_slice(&a.to_le_bytes());
+                out.extend_from_slice(&b.to_le_bytes());
+            }
+            out.extend(parts.iter().map(|&(_, _, cell)| cell));
+            out
+        }
+        let p = ldp_hash::MERSENNE_P;
+        let bad = |what| NetError::BadBatch(what);
+        let family = "hash coefficients outside the Carter-Wegman family";
+        let length = "hashed report count disagrees with payload length";
+        let cases = [
+            (
+                "a = 0",
+                hashed_body(1, 2, &reports(&[(0, 1, 0)])),
+                bad(family),
+            ),
+            (
+                "a = p",
+                hashed_body(1, 2, &reports(&[(p, 1, 0)])),
+                bad(family),
+            ),
+            (
+                "b = p",
+                hashed_body(1, 2, &reports(&[(1, p, 1)])),
+                bad(family),
+            ),
+            (
+                "cell = g",
+                hashed_body(2, 3, &reports(&[(1, 0, 0), (2, 0, 3)])),
+                bad("hashed cell outside [0, g)"),
+            ),
+            (
+                "g = 1",
+                hashed_body(1, 1, &reports(&[(1, 0, 0)])),
+                bad("a hash needs at least two cells"),
+            ),
+            (
+                "payload one byte short",
+                hashed_body(2, 2, &reports(&[(1, 0, 0), (2, 0, 1)])[1..]),
+                bad(length),
+            ),
+            (
+                "payload one byte long",
+                hashed_body(1, 2, &[reports(&[(1, 0, 0)]), vec![0]].concat()),
+                bad(length),
+            ),
+            (
+                "report count over the cap",
+                hashed_body(MAX_WIRE_REPORTS + 1, 2, &reports(&[(1, 0, 0)])),
+                NetError::OversizedBatch {
+                    reports: MAX_WIRE_REPORTS + 1,
+                    indices: 0,
+                },
+            ),
+            (
+                "absurd report count",
+                hashed_body(u32::MAX, 2, &[]),
+                NetError::OversizedBatch {
+                    reports: u32::MAX,
+                    indices: 0,
+                },
+            ),
+        ];
+        for (what, body, want) in cases {
+            assert_eq!(decode_frame(&body).unwrap_err(), want, "{what}");
+        }
+        // The extremes of the family decode.
+        let body = hashed_body(2, 2, &reports(&[(p - 1, p - 1, 1), (1, 0, 0)]));
+        assert!(decode_frame(&body).is_ok());
     }
 
     #[test]

@@ -484,3 +484,76 @@ fn loadgen_retries_through_a_kill_with_windows_in_flight_bit_identical() {
         assert_bit_identical(method, &reference_rounds(method, users, 1, workers), &got);
     }
 }
+
+#[test]
+fn a_kill_with_hashed_frames_in_flight_resumes_bit_identical_with_an_empty_row_cache() {
+    let (users, workers) = (48usize, 2usize);
+    for method in [Method::BiLoloha, Method::OLoloha] {
+        let tag = format!("hashed_{}", method.name());
+        let dir = TempDir::new(&tag);
+        let (obs_a, obs_b, obs_client) = (
+            MetricsRegistry::new(),
+            MetricsRegistry::new(),
+            MetricsRegistry::new(),
+        );
+
+        // LOLOHA reports cross as ⟨hash, cell⟩ (kind 9), one report a
+        // frame; round 0's first reports carry their rows too. A dies 12
+        // frames into round 1, with both sessions' windows of hashed-only
+        // frames open, and B restarts with an empty row cache.
+        let mut dcfg = daemon_config(method);
+        dcfg.dir = Some(dir.0.clone());
+        dcfg.checkpoint_every = 5;
+        dcfg.kill_after_frames = Some(users as u64 + 12);
+        let daemon_a = Collectd::start(dcfg.clone(), &obs_a).unwrap();
+        let addr = daemon_a.local_addr();
+
+        let mut restart_cfg = dcfg;
+        restart_cfg.addr = addr;
+        restart_cfg.kill_after_frames = None;
+        let restart_obs = obs_b.clone();
+        let operator = std::thread::spawn(move || {
+            let report_a = daemon_a.join().unwrap();
+            let daemon_b = Collectd::start(restart_cfg, &restart_obs).unwrap();
+            (report_a, daemon_b)
+        });
+
+        let mut lcfg = loadgen_config(addr, method, users, 2, workers);
+        lcfg.frame_reports = 1;
+        lcfg.retry_timeout = Some(Duration::from_secs(60));
+        let report = run_loadgen(&lcfg, &obs_client).unwrap();
+
+        let (report_a, daemon_b) = operator.join().unwrap();
+        daemon_b.trigger_drain();
+        let report_b = daemon_b.join().unwrap();
+
+        let name = method.name();
+        assert!(report_a.hard_killed, "{name}: A died hard");
+        assert!(report.retries > 0, "{name}: round 1 was replayed");
+        let (a, b) = (obs_a.snapshot(), obs_b.snapshot());
+        let hashed_rx = |snap: &ldp_obs::ObsSnapshot| {
+            snap.counter_labeled_total("ldp.netd.frames_rx", "submit_hashed")
+        };
+        assert!(
+            hashed_rx(&a) >= users as u64 + 12,
+            "{name}: A took hashed frames"
+        );
+        assert_eq!(
+            a.counter_labeled_total("ldp.netd.frames_rx", "submit"),
+            0,
+            "{name}: no support frames"
+        );
+        assert!(hashed_rx(&b) > 0, "{name}: B took hashed frames");
+        // B's cache started empty and B saw only round 1's rowless
+        // frames: each user B folded missed once.
+        let misses = b.counter_total("ldp.netd.row_cache_misses");
+        assert!(misses > 0, "{name}: B rebuilt rows");
+        assert_eq!(report_b.frames_applied, misses, "{name}");
+        let got: Vec<_> = report
+            .rounds
+            .iter()
+            .map(|r| (r.reports, r.estimate.clone()))
+            .collect();
+        assert_bit_identical(method, &reference_rounds(method, users, 2, workers), &got);
+    }
+}

@@ -11,11 +11,12 @@
 //! `docs/WIRE_FORMAT.md` §5) and a closed connection, and the daemon
 //! keeps serving clean traffic afterwards.
 
+use ldp_hash::{CwHash, MERSENNE_P};
 use ldp_ingest::ReportBatch;
 use ldp_netd::{
     decode_frame, encode_frame, read_frame, write_frame, Collectd, Conn, DaemonConfig, ErrorCode,
-    Frame, NetError, MAX_FRAME_LEN, MAX_WIRE_DIM, MAX_WIRE_INDICES, MAX_WIRE_REPORTS, WIRE_MAGIC,
-    WIRE_VERSION,
+    Frame, HashedBatch, NetError, MAX_FRAME_LEN, MAX_WIRE_DIM, MAX_WIRE_INDICES, MAX_WIRE_REPORTS,
+    ROW_CACHE_BYTES, WIRE_MAGIC, WIRE_VERSION,
 };
 use ldp_obs::MetricsRegistry;
 use ldp_primitives::codec::{CodecError, CodecWriter};
@@ -26,8 +27,8 @@ use std::net::TcpStream;
 
 const FP: u64 = 0x5EED_CAFE_F00D_D00D;
 
-/// One of every frame kind (a submit in each layout), with non-trivial
-/// payloads.
+/// One of every frame kind (a submit in each layout, and a hashed
+/// submit), with non-trivial payloads.
 fn sample_frames() -> Vec<Frame> {
     // Ascending supports ship as bit rows; an unsorted one as lists.
     let mut rows = ReportBatch::new();
@@ -75,7 +76,21 @@ fn sample_frames() -> Vec<Frame> {
             code: ErrorCode::Protocol,
             detail: "example".into(),
         },
+        Frame::SubmitHashed {
+            seq: 12,
+            key_base: 516,
+            batch: hashed(3, &[(MERSENNE_P - 1, 5, 2), (1, MERSENNE_P - 1, 0)]),
+        },
     ]
+}
+
+/// A hashed batch over `g` cells of `(a, b, cell)` reports.
+fn hashed(g: u32, reports: &[(u64, u64, u8)]) -> HashedBatch {
+    let mut batch = HashedBatch::new(g, 0);
+    for &(a, b, cell) in reports {
+        batch.push(CwHash::from_parts(a, b, g).unwrap(), cell, &[]);
+    }
+    batch
 }
 
 #[test]
@@ -142,7 +157,8 @@ fn future_protocol_versions_fail_closed() {
 
 #[test]
 fn unknown_frame_kinds_are_typed() {
-    for kind in [9u8, 42, 255] {
+    // Kinds 0-9 are the vocabulary (9 is the hashed submit).
+    for kind in [10u8, 42, 255] {
         let mut w = CodecWriter::new(WIRE_MAGIC, WIRE_VERSION, FP);
         w.put_u8(kind);
         let body = w.finish();
@@ -496,6 +512,338 @@ fn hostile_row_frames_get_typed_errors_and_apply_nothing() {
     // The round holds the two corrected reports plus the clean one:
     // the rejected frame's first report was never applied.
     assert_eq!(clean_round(&daemon, &obs, 0), 3);
+    daemon.trigger_drain();
+    assert!(!daemon.join().unwrap().hard_killed);
+}
+
+/// A hand-built hashed submit (kind 9) without rows: `report_count`
+/// and `g`, then the `(a, b, cell)` reports as the payload lays them out.
+fn hashed_submit(
+    fingerprint: u64,
+    report_count: u32,
+    g: u32,
+    reports: &[(u64, u64, u8)],
+) -> Vec<u8> {
+    hashed_submit_rows(fingerprint, report_count, g, reports, 0, &[])
+}
+
+/// [`hashed_submit`] claiming rows of `words` words and carrying `rows`.
+fn hashed_submit_rows(
+    fingerprint: u64,
+    report_count: u32,
+    g: u32,
+    reports: &[(u64, u64, u8)],
+    words: u32,
+    rows: &[u64],
+) -> Vec<u8> {
+    let mut w = CodecWriter::new(WIRE_MAGIC, WIRE_VERSION, fingerprint);
+    w.put_u8(9);
+    w.put_u64(1);
+    w.put_u64(0);
+    w.put_u32(report_count);
+    w.put_u32(g);
+    w.put_u32(words);
+    for &(a, b, _) in reports {
+        w.put_u64(a);
+        w.put_u64(b);
+    }
+    for &(_, _, cell) in reports {
+        w.put_u8(cell);
+    }
+    w.put_u64s(rows);
+    w.finish()
+}
+
+/// A connection to `daemon` that has said hello as `worker` of a
+/// `method` client over `k`.
+fn hello(daemon: &Collectd, obs: &MetricsRegistry, worker: u32, method: Method, k: u64) -> Conn {
+    let mut c = Conn::connect(
+        daemon.local_addr(),
+        daemon.fingerprint(),
+        obs,
+        ldp_netd::Deadline::after(std::time::Duration::from_secs(10)),
+    )
+    .unwrap();
+    c.send(&Frame::Hello {
+        worker_id: worker,
+        k,
+        dim: method.dim(k) as u64,
+        method: method.name().into(),
+    })
+    .unwrap();
+    assert!(matches!(
+        c.recv().unwrap().unwrap().1,
+        Frame::HelloAck { .. }
+    ));
+    c
+}
+
+/// The next reply on `c` is an error of class `want`.
+fn expect_remote(c: &mut Conn, want: ErrorCode) {
+    match c.recv().unwrap().unwrap().1 {
+        Frame::Error { code, .. } => assert_eq!(code, want),
+        other => panic!("expected an {want} error frame, got {other:?}"),
+    }
+}
+
+#[test]
+fn hostile_hashed_frames_get_typed_errors_and_apply_nothing() {
+    let obs = MetricsRegistry::new();
+    let k = 16;
+    let daemon = Collectd::start(DaemonConfig::new(Method::BiLoloha, k, 2.0, 1.0), &obs).unwrap();
+    let fp = daemon.fingerprint();
+    let p = MERSENNE_P;
+
+    // Claims the decoder refuses on the frame's own bytes, each before a
+    // buffer is sized from it: a typed error and a closed stream.
+    let fine = (1, 0, 0);
+    let mut long = hashed_submit(fp, 1, 2, &[fine]);
+    let mut w = CodecWriter::new(WIRE_MAGIC, WIRE_VERSION, fp);
+    w.put_bytes(&long[ldp_primitives::codec::HEADER_LEN..long.len() - 8]);
+    w.put_u8(0);
+    long = w.finish();
+    for (what, body, want) in [
+        (
+            "a = 0",
+            hashed_submit(fp, 1, 2, &[(0, 7, 1)]),
+            ErrorCode::BadBatch,
+        ),
+        (
+            "b = p",
+            hashed_submit(fp, 1, 2, &[(3, p, 1)]),
+            ErrorCode::BadBatch,
+        ),
+        (
+            "b = 2⁶⁴ − 1",
+            hashed_submit(fp, 1, 2, &[(3, u64::MAX, 0)]),
+            ErrorCode::BadBatch,
+        ),
+        (
+            "cell = g",
+            hashed_submit(fp, 2, 2, &[fine, (5, 5, 2)]),
+            ErrorCode::BadBatch,
+        ),
+        (
+            "short payload",
+            hashed_submit(fp, 2, 2, &[fine]),
+            ErrorCode::BadBatch,
+        ),
+        ("long payload", long, ErrorCode::BadBatch),
+        (
+            "report count over the cap",
+            hashed_submit(fp, MAX_WIRE_REPORTS + 1, 2, &[fine]),
+            ErrorCode::OversizedBatch,
+        ),
+        (
+            "row width over the cap",
+            hashed_submit_rows(fp, 1, 2, &[fine], MAX_WIRE_DIM / 64 + 1, &[1]),
+            ErrorCode::OversizedBatch,
+        ),
+        (
+            "fewer rows than reports",
+            hashed_submit_rows(fp, 2, 2, &[fine, fine], 1, &[1]),
+            ErrorCode::BadBatch,
+        ),
+    ] {
+        assert!(decode_frame(&body).is_err(), "{what}");
+        let mut s = TcpStream::connect(daemon.local_addr()).unwrap();
+        write_frame(&mut s, &body).unwrap();
+        expect_error(&mut s, want);
+        let mut buf = Vec::new();
+        assert!(
+            !read_frame(&mut s, &mut buf).unwrap(),
+            "{what}: daemon closed"
+        );
+    }
+
+    // A well-formed frame over another g than the daemon's (BiLOLOHA: 2)
+    // is refused at the application layer; the connection survives, and
+    // the same seq over the right g is applied whole.
+    let mut c = hello(&daemon, &obs, 3, Method::BiLoloha, k);
+    c.send(&Frame::SubmitHashed {
+        seq: 1,
+        key_base: 0,
+        batch: hashed(3, &[(5, 9, 1), (6, 2, 2)]),
+    })
+    .unwrap();
+    expect_remote(&mut c, ErrorCode::Protocol);
+    c.send(&Frame::SubmitHashed {
+        seq: 1,
+        key_base: 0,
+        batch: hashed(2, &[(5, 9, 1), (6, 2, 0)]),
+    })
+    .unwrap();
+    assert!(matches!(
+        c.recv().unwrap().unwrap().1,
+        Frame::Ack {
+            seq: 1,
+            reports: 2,
+            ..
+        }
+    ));
+
+    // First reports carry their rows. Rows of another width than the
+    // daemon's k needs, or with a bit past k, are refused; good ones fold
+    // as rows and become the keys' cache entries, so the same users'
+    // next reports, without rows, miss nothing.
+    let users = [(11u64, 3u64, 1u8), (12, 4, 0)];
+    let mut fresh = HashedBatch::new(2, 1);
+    let mut later = HashedBatch::new(2, 0);
+    for &(a, b, cell) in &users {
+        let hash = CwHash::from_parts(a, b, 2).unwrap();
+        let mut row = [0u64];
+        hash.preimage_rows(k, u32::from(cell)..u32::from(cell) + 1, &mut row);
+        fresh.push(hash, cell, &row);
+        later.push(hash, cell, &[]);
+    }
+    let wide = hashed_submit_rows(daemon.fingerprint(), 1, 2, &[(11, 3, 1)], 2, &[1, 0]);
+    let past_k = hashed_submit_rows(daemon.fingerprint(), 1, 2, &[(11, 3, 1)], 1, &[1 << 16]);
+    for (body, want) in [
+        (wide, ErrorCode::Protocol),
+        (past_k, ErrorCode::SupportOutOfRange),
+    ] {
+        let (_, frame) = decode_frame(&body).unwrap();
+        let Frame::SubmitHashed { batch, .. } = frame else {
+            panic!("a hashed submit decodes as one");
+        };
+        c.send(&Frame::SubmitHashed {
+            seq: 2,
+            key_base: 2,
+            batch,
+        })
+        .unwrap();
+        expect_remote(&mut c, want);
+    }
+    for (seq, batch) in [(2, fresh), (3, later)] {
+        c.send(&Frame::SubmitHashed {
+            seq,
+            key_base: 2,
+            batch,
+        })
+        .unwrap();
+        assert!(matches!(c.recv().unwrap().unwrap().1, Frame::Ack { .. }));
+    }
+    c.send(&Frame::EndRound { round: 0 }).unwrap();
+    match c.recv().unwrap().unwrap().1 {
+        Frame::RoundResult { reports, .. } => assert_eq!(reports, 6, "only the good frames"),
+        other => panic!("expected a round result, got {other:?}"),
+    }
+    assert_eq!(obs.snapshot().counter_total("ldp.netd.row_cache_misses"), 2);
+    drop(c);
+    daemon.trigger_drain();
+    assert!(!daemon.join().unwrap().hard_killed);
+
+    // A daemon that is not LOLOHA refuses hashed reports the same way,
+    // and still takes the session's supports.
+    let obs = MetricsRegistry::new();
+    let daemon = Collectd::start(DaemonConfig::new(Method::LGrr, k, 2.0, 1.0), &obs).unwrap();
+    let mut c = hello(&daemon, &obs, 0, Method::LGrr, k);
+    c.send(&Frame::SubmitHashed {
+        seq: 1,
+        key_base: 0,
+        batch: hashed(2, &[(5, 9, 1)]),
+    })
+    .unwrap();
+    expect_remote(&mut c, ErrorCode::Protocol);
+    drop(c);
+    assert_eq!(clean_round(&daemon, &obs, 0), 1);
+    daemon.trigger_drain();
+    assert!(!daemon.join().unwrap().hard_killed);
+}
+
+#[test]
+fn a_flood_of_distinct_keys_keeps_the_row_cache_under_its_cap() {
+    // At k = 2¹⁶ a BiLOLOHA row is 8 KiB, so one shard's cache holds
+    // about a thousand users; 1 280 distinct keys overflow it.
+    let obs = MetricsRegistry::new();
+    let k = 1 << 16;
+    let mut cfg = DaemonConfig::new(Method::BiLoloha, k, 2.0, 1.0);
+    cfg.workers = 1;
+    let daemon = Collectd::start(cfg, &obs).unwrap();
+    let mut c = hello(&daemon, &obs, 0, Method::BiLoloha, k);
+    let mut most = 0;
+    for seq in 1..=10u64 {
+        let reports: Vec<(u64, u64, u8)> = (0..128u64)
+            .map(|i| (1 + seq * 1000 + i, i, (i % 2) as u8))
+            .collect();
+        c.send(&Frame::SubmitHashed {
+            seq,
+            key_base: seq * 1_000_000,
+            batch: hashed(2, &reports),
+        })
+        .unwrap();
+        assert!(matches!(c.recv().unwrap().unwrap().1, Frame::Ack { .. }));
+        let held = obs.snapshot().gauge("ldp.netd.row_cache_bytes").unwrap();
+        assert!(
+            held <= ROW_CACHE_BYTES as u64,
+            "{held} bytes after frame {seq}"
+        );
+        most = most.max(held);
+    }
+    let snap = obs.snapshot();
+    assert_eq!(snap.counter_total("ldp.netd.row_cache_misses"), 1280);
+    assert!(
+        snap.gauge("ldp.netd.row_cache_bytes").unwrap() < most,
+        "the full cache emptied"
+    );
+    drop(c);
+    daemon.trigger_drain();
+    assert!(!daemon.join().unwrap().hard_killed);
+}
+
+#[test]
+fn a_frame_of_distinct_keys_at_g_above_2_stays_under_the_build_cap() {
+    // Each report of a hashed frame without rows may miss the row cache
+    // and cost the daemon a pass over [0, k), all under the gate. A frame
+    // of distinct keys whose passes would cover more than MAX_WIRE_DIM
+    // values is refused before any of it is applied; one at the cap is
+    // folded whole, every report a miss.
+    let obs = MetricsRegistry::new();
+    let (method, k) = (Method::OLoloha, 1u64 << 14);
+    let g = loloha::LolohaParams::optimal(2.0, 1.0).unwrap().g();
+    assert!(g > 2, "OLOLOHA at ε = 2 hashes into {g} cells");
+    let daemon = Collectd::start(DaemonConfig::new(method, k, 2.0, 1.0), &obs).unwrap();
+    let mut c = hello(&daemon, &obs, 0, method, k);
+    let at_cap = (u64::from(MAX_WIRE_DIM) / k) as usize;
+    let distinct = |n: usize| -> Vec<(u64, u64, u8)> {
+        (0..n as u64)
+            .map(|i| (1 + 7919 * i, 31 * i, (i % u64::from(g)) as u8))
+            .collect()
+    };
+    c.send(&Frame::SubmitHashed {
+        seq: 1,
+        key_base: 0,
+        batch: hashed(g, &distinct(at_cap + 1)),
+    })
+    .unwrap();
+    expect_remote(&mut c, ErrorCode::OversizedBatch);
+    assert_eq!(
+        obs.snapshot().counter_total("ldp.netd.row_cache_misses"),
+        0,
+        "nothing of the refused frame was built"
+    );
+    c.send(&Frame::SubmitHashed {
+        seq: 1,
+        key_base: 0,
+        batch: hashed(g, &distinct(at_cap)),
+    })
+    .unwrap();
+    match c.recv().unwrap().unwrap().1 {
+        Frame::Ack {
+            seq: 1, reports, ..
+        } => assert_eq!(reports as usize, at_cap),
+        other => panic!("expected the frame at the cap acked, got {other:?}"),
+    }
+    assert_eq!(
+        obs.snapshot().counter_total("ldp.netd.row_cache_misses"),
+        at_cap as u64
+    );
+    c.send(&Frame::EndRound { round: 0 }).unwrap();
+    match c.recv().unwrap().unwrap().1 {
+        Frame::RoundResult { reports, .. } => assert_eq!(reports, at_cap as u64),
+        other => panic!("expected a round result, got {other:?}"),
+    }
+    drop(c);
     daemon.trigger_drain();
     assert!(!daemon.join().unwrap().hard_killed);
 }
