@@ -12,7 +12,8 @@
 //!   16-row page (or its page table grows);
 //! * an L-OSUE memo holds at most one page of empty rows beyond its
 //!   memoized ones;
-//! * building an L-OSUE pool costs a pinned number of allocations per user.
+//! * building an L-OSUE pool costs a pinned number of allocations and live
+//!   heap bytes per user.
 //!
 //! If a bound fails, find the allocation; do not raise the bound.
 
@@ -171,4 +172,24 @@ fn pool_build_allocations_per_user_are_pinned() {
     // page table starts empty, and the privacy accounting reads the memo.
     assert_eq!((large - small) % 100, 0, "{small} vs {large}");
     assert_eq!((large - small) / 100, 2, "allocations per pooled user");
+}
+
+#[test]
+fn pool_build_live_bytes_per_user_are_pinned() {
+    let build = |n: usize| {
+        let obs = MetricsRegistry::new();
+        let mut kept = None;
+        let bytes = live_bytes_in(|| kept = Some(pool(Method::LOsue, n, &obs)));
+        drop(kept);
+        bytes
+    };
+    let (small, large) = (build(10), build(110));
+    // Per user: the boxed state (281 B) and the memo's class index, a
+    // presence bitmap with group ranks and 80 rank slots (392 B). A dense
+    // `u16` class index alone would take 2 824 B.
+    let per_user = (large - small) / 100;
+    assert!(
+        per_user <= 768,
+        "a pooled L-OSUE user holds {per_user} B after build (bound 768 B)"
+    );
 }

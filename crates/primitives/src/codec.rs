@@ -159,13 +159,35 @@ impl Error for CodecError {}
 /// every container [`XXH64_TRAILERS`] does not list. Tiny and
 /// dependency-free; forgeable by construction, so it detects accidents,
 /// not adversaries.
+///
+/// An all-zero 8-byte word leaves each xor step as it is, so it folds as
+/// one multiply by the prime's eighth power: the zero runs that fill most
+/// fresh shard checkpoints cost a multiply per word, not per byte.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let (words, tail) = bytes.as_chunks::<8>();
+    let h = words.iter().fold(FNV_OFFSET, |h, word| {
+        if *word == [0; 8] {
+            h.wrapping_mul(FNV_PRIME_POW8)
+        } else {
+            fnv1a_bytes(h, word)
+        }
+    });
+    fnv1a_bytes(h, tail)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const FNV_PRIME_POW8: u64 = {
+    let p2 = FNV_PRIME.wrapping_mul(FNV_PRIME);
+    let p4 = p2.wrapping_mul(p2);
+    p4.wrapping_mul(p4)
+};
+
+/// FNV-1a's byte-serial steps over `bytes`, from state `h`.
+fn fnv1a_bytes(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
@@ -545,6 +567,38 @@ mod tests {
         w.put_f64(-0.0);
         w.put_frame(b"abc");
         w.finish()
+    }
+
+    #[test]
+    fn fnv1a_equals_the_byte_serial_definition() {
+        let serial = |bytes: &[u8]| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            h
+        };
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        // SplitMix64 bytes, then a zero run over every [start, end) of
+        // every length 0..=64, so zero words land at every offset.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next_byte = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            (z ^ (z >> 31)) as u8
+        };
+        for len in 0..=64 {
+            let random: Vec<u8> = (0..len).map(|_| next_byte()).collect();
+            for start in 0..=len {
+                for end in start..=len {
+                    let mut bytes = random.clone();
+                    bytes[start..end].fill(0);
+                    assert_eq!(fnv1a(&bytes), serial(&bytes), "{bytes:?}");
+                }
+            }
+        }
     }
 
     #[test]
